@@ -3,6 +3,8 @@
 #include <string_view>
 #include <utility>
 
+#include "json/json.h"
+
 namespace psc::gateway {
 
 namespace {
@@ -199,7 +201,8 @@ void Gateway::handle_http(Connection& c, const http::Request& req) {
       const SegmentStore::Stream* st = store_.find_stream(name);
       if (!first) body += ',';
       first = false;
-      body += "{\"name\":\"" + name +
+      // Stream names come from publishers: escape them.
+      body += "{\"name\":\"" + json::escape(name) +
               "\",\"segments\":" + std::to_string(st->segments.size()) +
               ",\"ended\":" + (st->ended ? "true" : "false") + "}";
     }

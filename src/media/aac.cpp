@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "media/kernels.h"
+
 namespace psc::media {
 
 namespace {
@@ -23,56 +25,27 @@ Bytes write_adts_frame(const AudioConfig& cfg, std::size_t payload_bytes,
                        std::uint64_t filler_seed) {
   const int sf_index = adts_sampling_index(cfg.sample_rate).value_or(4);
   const std::size_t frame_len = kAdtsHeaderSize + payload_bytes;
-  ByteWriter w;
-  // Header: syncword(12) ID(1)=0 layer(2)=0 protection_absent(1)=1
-  w.u8(0xFF);
-  w.u8(0xF1);
-  // profile(2)=01 (AAC-LC), sf_index(4), private(1)=0, channel_cfg(3) hi bit
   const int channel_cfg = cfg.channels;
-  w.u8(static_cast<std::uint8_t>((1 << 6) | (sf_index << 2) |
-                                 ((channel_cfg >> 2) & 0x1)));
+  Bytes out(frame_len);
+  // Header: syncword(12) ID(1)=0 layer(2)=0 protection_absent(1)=1
+  out[0] = 0xFF;
+  out[1] = 0xF1;
+  // profile(2)=01 (AAC-LC), sf_index(4), private(1)=0, channel_cfg(3) hi bit
+  out[2] = static_cast<std::uint8_t>((1 << 6) | (sf_index << 2) |
+                                     ((channel_cfg >> 2) & 0x1));
   // channel_cfg lo 2 bits, orig/copy, home, copyright id bit/start,
   // frame_length hi 2 bits
-  w.u8(static_cast<std::uint8_t>(((channel_cfg & 0x3) << 6) |
-                                 ((frame_len >> 11) & 0x3)));
-  w.u8(static_cast<std::uint8_t>((frame_len >> 3) & 0xFF));
+  out[3] = static_cast<std::uint8_t>(((channel_cfg & 0x3) << 6) |
+                                     ((frame_len >> 11) & 0x3));
+  out[4] = static_cast<std::uint8_t>((frame_len >> 3) & 0xFF);
   // frame_length lo 3 bits + buffer fullness hi 5 bits (0x7FF = VBR)
-  w.u8(static_cast<std::uint8_t>(((frame_len & 0x7) << 5) | 0x1F));
+  out[5] = static_cast<std::uint8_t>(((frame_len & 0x7) << 5) | 0x1F);
   // buffer fullness lo 6 bits + number_of_raw_data_blocks(2)=0
-  w.u8(0xFC);
-
-  // Same 4-step LCG jump as the video slice filler (media/h264.cpp):
-  // state_{n+k} = A^k * state_n + C_k breaks the serial multiply chain;
-  // the byte stream is identical to the one-step loop.
-  constexpr std::uint64_t kA = 6364136223846793005ull;
-  constexpr std::uint64_t kC = 1442695040888963407ull;
-  constexpr std::uint64_t kA2 = kA * kA;
-  constexpr std::uint64_t kC2 = kA * kC + kC;
-  constexpr std::uint64_t kA3 = kA2 * kA;
-  constexpr std::uint64_t kC3 = kA * kC2 + kC;
-  constexpr std::uint64_t kA4 = kA3 * kA;
-  constexpr std::uint64_t kC4 = kA * kC3 + kC;
-  std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 0xA5;
-  Bytes out = w.take();
-  const std::size_t start = out.size();
-  out.resize(start + payload_bytes);
-  std::uint8_t* p = out.data() + start;
-  std::uint8_t* const pe = out.data() + out.size();
-  for (; pe - p >= 4; p += 4) {
-    const std::uint64_t s1 = state * kA + kC;
-    const std::uint64_t s2 = state * kA2 + kC2;
-    const std::uint64_t s3 = state * kA3 + kC3;
-    const std::uint64_t s4 = state * kA4 + kC4;
-    p[0] = static_cast<std::uint8_t>(s1 >> 33);
-    p[1] = static_cast<std::uint8_t>(s2 >> 33);
-    p[2] = static_cast<std::uint8_t>(s3 >> 33);
-    p[3] = static_cast<std::uint8_t>(s4 >> 33);
-    state = s4;
-  }
-  while (p != pe) {
-    state = state * kA + kC;
-    *p++ = static_cast<std::uint8_t>(state >> 33);
-  }
+  out[6] = 0xFC;
+  // Payload: raw bytes of the media filler LCG (the slice filler's
+  // generator, from its own seed mix).
+  detail::lcg_fill(out.data() + kAdtsHeaderSize, payload_bytes,
+                   filler_seed * 0x9E3779B97F4A7C15ull + 0xA5);
   return out;
 }
 
@@ -108,7 +81,7 @@ MediaSample AacEncoder::next_frame() {
       static_cast<double>(cfg_.sample_rate) / cfg_.samples_per_frame;
   const double mean_payload =
       cfg_.target_bitrate / 8.0 / frames_per_s - 7.0;
-  state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+  state_ = detail::lcg_next(state_);
   const double u =
       static_cast<double>(state_ >> 11) / 9007199254740992.0;  // [0,1)
   const double scale = 0.7 + 0.6 * u;

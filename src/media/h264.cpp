@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "media/kernels.h"
 #include "util/bitio.h"
 
 namespace psc::media {
@@ -20,47 +21,13 @@ constexpr std::array<std::uint8_t, 16> kNtpSeiUuid = {
 constexpr int kMbSize = 16;
 constexpr int kCropUnitY = 2;  // 4:2:0, frame_mbs_only
 
-/// Core of escape_ebsp, reusable for streamed producers: append d[0, n)
-/// to `out` in escaped (EBSP) form, carrying the consecutive-zero count
-/// across calls so a payload can be escaped in chunks. Runs as
-/// run-copies: memchr to the next zero byte, bulk-append the clean run,
-/// and only inspect bytes around zero pairs. Output is byte-identical to
-/// the naive per-byte loop.
-void escape_append(Bytes& out, const std::uint8_t* d, std::size_t n,
-                   std::size_t& zeros) {
-  std::size_t copied = 0;  // d[0, copied) already appended
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint8_t b = d[i];
-    if (zeros >= 2 && b <= 0x03) {
-      out.insert(out.end(), d + copied, d + i);
-      out.push_back(0x03);
-      copied = i;  // current byte flushes with the next run
-      zeros = (b == 0x00) ? 1 : 0;
-      ++i;
-      continue;
-    }
-    if (b == 0x00) {
-      ++zeros;
-      ++i;
-      continue;
-    }
-    zeros = 0;
-    const void* z = std::memchr(d + i, 0, n - i);
-    i = (z != nullptr)
-            ? static_cast<std::size_t>(static_cast<const std::uint8_t*>(z) - d)
-            : n;
-  }
-  out.insert(out.end(), d + copied, d + n);
-}
-
 }  // namespace
 
 Bytes escape_ebsp(BytesView rbsp) {
   Bytes out;
   out.reserve(rbsp.size() + rbsp.size() / 64);
   std::size_t zeros = 0;
-  escape_append(out, rbsp.data(), rbsp.size(), zeros);
+  detail::escape_append(out, rbsp.data(), rbsp.size(), zeros);
   return out;
 }
 
@@ -479,25 +446,19 @@ Result<FrameType> frame_type_from_code(std::uint32_t code) {
 
 namespace {
 
-// Filler LCG: jump the recurrence four steps at a time —
-// state_{n+k} = A^k * state_n + C_k with precomputed (A^k, C_k) — so the
-// serial multiply chain (~5 cycles/byte one-step) becomes four
-// independent multiplies per iteration. The emitted byte stream is
-// exactly the one-step sequence.
-constexpr std::uint64_t kFillA = 6364136223846793005ull;
-constexpr std::uint64_t kFillC = 1442695040888963407ull;
-constexpr std::uint64_t kFillA2 = kFillA * kFillA;
-constexpr std::uint64_t kFillC2 = kFillA * kFillC + kFillC;
-constexpr std::uint64_t kFillA3 = kFillA2 * kFillA;
-constexpr std::uint64_t kFillC3 = kFillA * kFillC2 + kFillC;
-constexpr std::uint64_t kFillA4 = kFillA3 * kFillA;
-constexpr std::uint64_t kFillC4 = kFillA * kFillC3 + kFillC;
+/// Slice filler: n deterministic pseudo-random "slice data" bytes from
+/// the media LCG, with zero runs injected (every low-nibble-zero draw) so
+/// emulation prevention gets exercised. Returns the advanced state, so
+/// the filler can be produced in pieces.
+std::uint64_t fill_slice_data(std::uint8_t* p, std::size_t n,
+                              std::uint64_t state) {
+  state = detail::lcg_fill(p, n, state);
+  detail::zero_low_nibbles(p, n);
+  return state;
+}
 
-/// Map one LCG state to a filler byte. Zero runs are injected (every
-/// low-nibble-zero draw) so emulation prevention gets exercised.
-inline std::uint8_t fill_emit(std::uint64_t s) {
-  const auto b = static_cast<std::uint8_t>(s >> 33);
-  return static_cast<std::uint8_t>((b & 0x0F) == 0 ? 0x00 : b);
+std::uint64_t slice_filler_state(std::uint64_t filler_seed) {
+  return filler_seed * 0x9E3779B97F4A7C15ull + 1;
 }
 
 /// Slice-header RBSP bits shared by make_slice_nal (materialised NAL)
@@ -546,29 +507,12 @@ NalUnit make_slice_nal(const SliceHeader& hdr, const Sps& sps, const Pps& pps,
   nal.nal_ref_idc = nal_ref_idc;
   nal.rbsp = w.take();
 
-  // Pad with deterministic pseudo-random "slice data" to the requested
-  // size (see fill_emit above for the zero-run injection).
+  // Pad with filler to the requested size.
   if (nal.rbsp.size() < payload_bytes) {
     const std::size_t start = nal.rbsp.size();
     nal.rbsp.resize(payload_bytes);
-    std::uint8_t* p = nal.rbsp.data() + start;
-    std::uint8_t* const pe = nal.rbsp.data() + payload_bytes;
-    std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 1;
-    for (; pe - p >= 4; p += 4) {
-      const std::uint64_t s1 = state * kFillA + kFillC;
-      const std::uint64_t s2 = state * kFillA2 + kFillC2;
-      const std::uint64_t s3 = state * kFillA3 + kFillC3;
-      const std::uint64_t s4 = state * kFillA4 + kFillC4;
-      p[0] = fill_emit(s1);
-      p[1] = fill_emit(s2);
-      p[2] = fill_emit(s3);
-      p[3] = fill_emit(s4);
-      state = s4;
-    }
-    while (p != pe) {
-      state = state * kFillA + kFillC;
-      *p++ = fill_emit(state);
-    }
+    fill_slice_data(nal.rbsp.data() + start, payload_bytes - start,
+                    slice_filler_state(filler_seed));
   }
   return nal;
 }
@@ -587,14 +531,12 @@ void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
   // The encoder's hot path: a slice is produced exactly once, fanned out
   // many times — and the materialised route writes its megabyte filler
   // three times (RBSP fill, EBSP escape, Annex-B copy) with a heap
-  // allocation for each. Stream the same bytes out in one pass instead:
-  // header bits, then filler generated directly in escaped form, chunked
-  // through a stack buffer so vector growth stays amortised bulk appends.
+  // allocation for each. Stream the same bytes out instead: header bits,
+  // then the filler generated a stack chunk at a time and escaped
+  // straight into `out`.
   BitWriter w;
   const int nal_ref_idc = write_slice_header_bits(w, hdr, sps, pps);
   const Bytes head = w.take();
-  const std::size_t filler =
-      head.size() < payload_bytes ? payload_bytes - head.size() : 0;
   out.reserve(out.size() + 5 + payload_bytes + payload_bytes / 64 + 16);
 
   const NalType type = hdr.idr ? NalType::IdrSlice : NalType::NonIdrSlice;
@@ -603,56 +545,18 @@ void append_annexb_slice(Bytes& out, const SliceHeader& hdr, const Sps& sps,
                                           static_cast<int>(type)));
 
   // Escape state spans the whole RBSP (header then filler), exactly as
-  // escape_ebsp sees it on the materialised route. The filler's zero
-  // density (~1/16 bytes) is high enough that memchr-style run-skipping
-  // loses to this branch-predictable per-byte loop — escapes themselves
-  // fire only once per few thousand bytes, so the inner branch is
-  // almost-never-taken and the chunked stack buffer keeps vector growth
-  // as amortised bulk appends.
+  // escape_ebsp sees it on the materialised route.
   std::size_t zeros = 0;
-  const auto put = [&zeros](std::uint8_t*& p, std::uint8_t b) {
-    if (zeros >= 2 && b <= 0x03) {
-      *p++ = 0x03;
-      zeros = 0;
-    }
-    *p++ = b;
-    zeros = (b == 0x00) ? zeros + 1 : 0;
-  };
+  detail::escape_append(out, head.data(), head.size(), zeros);
 
-  {
-    // Header bytes: tiny, escape via the same per-byte rule.
-    std::uint8_t hbuf[128];
-    std::uint8_t* p = hbuf;
-    for (std::uint8_t b : head) put(p, b);
-    out.insert(out.end(), hbuf, p);
-  }
-
-  // Escapes expand by at most 1 byte per 3 (a 00 00 0x run), so a chunk
-  // of 6000 RBSP bytes needs at most 8000 output bytes.
-  constexpr std::size_t kChunk = 6000;
-  std::uint8_t buf[8008];
-  std::uint64_t state = filler_seed * 0x9E3779B97F4A7C15ull + 1;
-  std::size_t remaining = filler;
+  std::uint8_t buf[detail::kSliceFillChunk];
+  std::uint64_t state = slice_filler_state(filler_seed);
+  std::size_t remaining =
+      head.size() < payload_bytes ? payload_bytes - head.size() : 0;
   while (remaining > 0) {
-    const std::size_t n = remaining < kChunk ? remaining : kChunk;
-    std::uint8_t* p = buf;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const std::uint64_t s1 = state * kFillA + kFillC;
-      const std::uint64_t s2 = state * kFillA2 + kFillC2;
-      const std::uint64_t s3 = state * kFillA3 + kFillC3;
-      const std::uint64_t s4 = state * kFillA4 + kFillC4;
-      put(p, fill_emit(s1));
-      put(p, fill_emit(s2));
-      put(p, fill_emit(s3));
-      put(p, fill_emit(s4));
-      state = s4;
-    }
-    for (; i < n; ++i) {
-      state = state * kFillA + kFillC;
-      put(p, fill_emit(state));
-    }
-    out.insert(out.end(), buf, p);
+    const std::size_t n = std::min(remaining, detail::kSliceFillChunk);
+    state = fill_slice_data(buf, n, state);
+    detail::escape_append(out, buf, n, zeros);
     remaining -= n;
   }
 }

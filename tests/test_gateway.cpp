@@ -186,6 +186,26 @@ TEST(GatewayApi, PostBridgesToApiServer) {
   EXPECT_GT(gw.api()->requests_served(), 0u);
 }
 
+TEST(GatewayHttp, StreamListEscapesPublisherNames) {
+  // The stream name is publisher-supplied: quotes, backslashes and
+  // control bytes must come back intact through a JSON parser.
+  gateway::Gateway gw(test_config());
+  ASSERT_TRUE(gw.start().ok());
+  const std::string key = "odd\"name\\with\x01" "ctl";
+  publish_over_socket(gw, gateway::synthetic_frames(4, 60), key);
+
+  gateway::HlsFetchClient client;
+  ASSERT_TRUE(client.connect(gw.http_port()).ok());
+  http::Response resp = fetch(gw, client, "/streams");
+  ASSERT_EQ(resp.status, 200);
+  auto body = json::parse(to_string(resp.body.view()));
+  ASSERT_TRUE(body.ok()) << to_string(resp.body.view());
+  const json::Value& streams = body.value()["streams"];
+  ASSERT_EQ(streams.as_array().size(), 1u);
+  EXPECT_EQ(streams[0]["name"].as_string(), key);
+  EXPECT_TRUE(streams[0]["ended"].as_bool());
+}
+
 TEST(GatewayLifecycle, MidPublishShutdownLeavesNoTornSegment) {
   gateway::Gateway gw(test_config());
   ASSERT_TRUE(gw.start().ok());

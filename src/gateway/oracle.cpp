@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "gateway/clients.h"
 #include "gateway/gateway.h"
+#include "json/json.h"
 #include "testing/fuzz_target.h"
 #include "testing/mutator.h"
 
@@ -64,19 +67,127 @@ bool settle(Gateway& gw, int max_turns) {
   return gw.loop().connection_count() == 0;
 }
 
-bool healthz_ok(Gateway& gw) {
-  HlsFetchClient probe;
-  if (!probe.connect(gw.http_port()).ok()) return false;
-  probe.get("/healthz");
-  for (int i = 0; i < 2000 && !probe.done(); ++i) {
-    if (!probe.step()) return false;
+/// GET `path` on a fresh connection; nullopt if the gateway never answers.
+std::optional<http::Response> fetch(Gateway& gw, const std::string& path) {
+  HlsFetchClient client;
+  if (!client.connect(gw.http_port()).ok()) return std::nullopt;
+  client.get(path);
+  for (int i = 0; i < 2000 && !client.done(); ++i) {
+    if (!client.step()) return std::nullopt;
     gw.poll_once(0);
   }
-  if (!probe.done()) return false;
-  const bool ok = probe.take_response().status == 200;
-  probe.close();
+  if (!client.done()) return std::nullopt;
+  http::Response resp = client.take_response();
+  client.close();
   settle(gw, 200);
-  return ok;
+  return resp;
+}
+
+bool healthz_ok(Gateway& gw) {
+  const std::optional<http::Response> resp = fetch(gw, "/healthz");
+  return resp && resp->status == 200;
+}
+
+/// Publisher-chosen stream names: quotes, backslashes, control bytes,
+/// NUL, non-UTF-8, JSON and HTML look-alikes, then seeded random bytes.
+std::vector<std::string> hostile_stream_names(testing::Mutator& rng) {
+  std::vector<std::string> names = {
+      "quote\"name",
+      "back\\slash\\",
+      "ctl\x01\x02\x1b\x1f\x7f",
+      "tab\tnl\ncr\r",
+      std::string("nul\0byte", 8),
+      "bad-utf8\xff\xfe\xc3\x28\xed\xa0\x80\xf4\x90\x80\x80",
+      "\\u0000\\\"}],{\"name\":\"",
+      "</script><x y='z'>",
+      std::string(300, '"'),
+  };
+  for (int i = 0; i < 8; ++i) {
+    std::string name(1 + rng.below(48), '\0');
+    for (char& c : name) c = static_cast<char>(rng.below(256));
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+/// Publish every hostile name on a fresh gateway, then fetch /streams.
+/// Contract: /streams parses as JSON and lists exactly the store's
+/// streams under their byte-exact names, and /healthz answers 200.
+/// Names and the /streams body fold into `digest`; `stored` counts the
+/// names the store accepted. Returns the number of violations.
+std::uint64_t check_hostile_stream_names(const GatewayConfig& cfg,
+                                         std::uint64_t seed,
+                                         std::uint64_t& digest,
+                                         std::size_t& stored_count,
+                                         std::ostream& out) {
+  Gateway gw(cfg);
+  if (const Status s = gw.start(); !s.ok()) {
+    out << "gateway oracle: names: start failed: " << s.error().to_string()
+        << "\n";
+    return 1;
+  }
+  testing::Mutator rng(seed ^ 0x6e616d6573ull);
+  const SyntheticMedia media = synthetic_frames(seed, 30);
+  const std::vector<std::string> names = hostile_stream_names(rng);
+  for (const std::string& name : names) {
+    digest = testing::fnv1a(to_bytes(name), digest);
+    PublishClient pub("live", name, seed);
+    if (!pub.connect(gw.rtmp_port()).ok()) {
+      out << "gateway oracle: names: connect refused\n";
+      return 1;
+    }
+    for (int i = 0; i < 20000 && !pub.publishing() && !pub.closed(); ++i) {
+      pub.step();
+      gw.poll_once(0);
+    }
+    if (pub.publishing()) {
+      pub.send_avc_config(media.sps, media.pps);
+      for (const auto& sample : media.samples) pub.send_sample(sample);
+      for (int i = 0; i < 20000 && pub.pending() > 0 && pub.step(); ++i) {
+        gw.poll_once(0);
+      }
+    }
+    pub.close();
+    settle(gw, 2000);
+  }
+
+  std::uint64_t violations = 0;
+  const std::optional<http::Response> resp = fetch(gw, "/streams");
+  if (!resp || resp->status != 200) {
+    out << "gateway oracle: names: /streams did not answer 200\n";
+    return 1;
+  }
+  const std::string body = to_string(resp->body.view());
+  digest = testing::fnv1a(to_bytes(body), digest);
+  auto parsed = json::parse(body);
+  if (!parsed.ok()) {
+    out << "gateway oracle: names: /streams is not valid JSON\n";
+    return 1;
+  }
+  std::vector<std::string> listed;
+  for (const json::Value& st : parsed.value()["streams"].as_array()) {
+    listed.push_back(st["name"].as_string());
+  }
+  std::vector<std::string> stored = gw.store().stream_names();
+  std::sort(listed.begin(), listed.end());
+  std::sort(stored.begin(), stored.end());
+  stored_count = stored.size();
+  if (listed != stored) {
+    ++violations;
+    out << "gateway oracle: names: /streams lists " << listed.size()
+        << " name(s), the store holds " << stored.size()
+        << " (or a name did not round-trip)\n";
+  }
+  if (stored.empty()) {
+    ++violations;
+    out << "gateway oracle: names: no hostile-name publish reached the "
+           "store\n";
+  }
+  if (!healthz_ok(gw)) {
+    ++violations;
+    out << "gateway oracle: names: /healthz failed\n";
+  }
+  return violations;
 }
 
 }  // namespace
@@ -152,8 +263,12 @@ int run_gateway_oracle(const OracleOptions& opts, std::ostream& out) {
 
   const bool healthy = healthz_ok(gw);
   if (!healthy) out << "gateway oracle: final /healthz failed\n";
+  std::size_t names_stored = 0;
+  violations +=
+      check_hostile_stream_names(cfg, opts.seed, digest, names_stored, out);
   out << "FUZZ {\"target\":\"gateway_live_peer\",\"iters\":" << opts.iters
-      << ",\"seed\":" << opts.seed << ",\"violations\":" << violations
+      << ",\"seed\":" << opts.seed << ",\"hostile_names\":" << names_stored
+      << ",\"violations\":" << violations
       << ",\"digest\":\"" << std::hex << digest << std::dec << "\"}\n";
   return violations == 0 && healthy ? 0 : 1;
 }

@@ -5,8 +5,34 @@
 
 namespace psc::service {
 
+namespace {
+
+constexpr int kLatCells = 45;  // 180 / World::kCellDeg
+constexpr int kLonCells = 90;  // 360 / World::kCellDeg
+static_assert(kLatCells * World::kCellDeg == 180.0 &&
+              kLonCells * World::kCellDeg == 360.0);
+
+/// Cell of coordinate `x` on an axis that starts at `lo` and has `n`
+/// cells. Clamped in double before the int conversion, so ±inf, ±1e308
+/// and out-of-world values land on an edge cell and NaN on cell 0.
+/// Monotone in `x`.
+int axis_cell(double x, double lo, int n) {
+  const double c = (x - lo) / World::kCellDeg;
+  if (!(c > 0)) return 0;
+  if (c >= n) return n - 1;
+  return static_cast<int>(c);
+}
+
+int lat_row(double lat_deg) { return axis_cell(lat_deg, -90.0, kLatCells); }
+int lon_col(double lon_deg) { return axis_cell(lon_deg, -180.0, kLonCells); }
+
+}  // namespace
+
 World::World(sim::Simulation& sim, const WorldConfig& cfg, std::uint64_t seed)
-    : sim_(sim), cfg_(cfg), rng_(seed) {
+    : sim_(sim),
+      cfg_(cfg),
+      rng_(seed),
+      grid_(kLatCells * kLonCells) {
   // Hotspots: population-like latitude bands (most mass 20-55 N), Zipf
   // weights, modest geographic spread.
   hotspots_.reserve(static_cast<std::size_t>(cfg_.hotspot_count));
@@ -91,11 +117,28 @@ void World::spawn_one(TimePoint start_time) {
   add_broadcast(std::move(b));
 }
 
+World::Cell& World::cell_of(const BroadcastInfo& b) {
+  return grid_[static_cast<std::size_t>(lat_row(b.location.lat_deg) *
+                                            kLonCells +
+                                        lon_col(b.location.lon_deg))];
+}
+
+void World::index(const BroadcastInfo* b) { cell_of(*b).push_back(b); }
+
+void World::unindex(const BroadcastInfo* b) {
+  Cell& cell = cell_of(*b);
+  *std::find(cell.begin(), cell.end(), b) = cell.back();
+  cell.pop_back();
+}
+
 const BroadcastInfo* World::add_broadcast(BroadcastInfo info) {
   ++total_created_;
   auto owned = std::make_unique<BroadcastInfo>(std::move(info));
   const BroadcastInfo* ptr = owned.get();
-  broadcasts_[ptr->id] = std::move(owned);
+  auto& slot = broadcasts_[ptr->id];
+  if (slot) unindex(slot.get());  // same id: the new one replaces it
+  slot = std::move(owned);
+  index(ptr);
   if (on_added_) on_added_(*ptr, sim_.now());
   return ptr;
 }
@@ -113,6 +156,7 @@ void World::gc() {
   for (auto it = broadcasts_.begin(); it != broadcasts_.end();) {
     if (it->second->end_time() < cutoff) {
       if (on_removed_) on_removed_(it->first, sim_.now());
+      unindex(it->second.get());
       it = broadcasts_.erase(it);
     } else {
       ++it;
@@ -149,13 +193,25 @@ void World::start(bool prepopulate) {
 
 std::vector<const BroadcastInfo*> World::query_rect(
     const geo::GeoRect& rect, bool include_ended_replays) const {
+  std::vector<const BroadcastInfo*> hits;
+  // Inverted, zero-area and NaN rectangles contain no point.
+  if (!(rect.lat_min < rect.lat_max) || !(rect.lon_min < rect.lon_max)) {
+    return hits;
+  }
   const TimePoint now = sim_.now();
   const double p_visible = map_query::visible_fraction(rect, cfg_);
-  std::vector<const BroadcastInfo*> hits;
-  for (const auto& [id, b] : broadcasts_) {
-    if (map_query::admit(*b, rect, include_ended_replays, now, cfg_,
-                         p_visible)) {
-      hits.push_back(b.get());
+  const int col_lo = lon_col(rect.lon_min);
+  const int col_hi = lon_col(rect.lon_max);
+  for (int row = lat_row(rect.lat_min); row <= lat_row(rect.lat_max);
+       ++row) {
+    for (int col = col_lo; col <= col_hi; ++col) {
+      for (const BroadcastInfo* b :
+           grid_[static_cast<std::size_t>(row * kLonCells + col)]) {
+        if (map_query::admit(*b, rect, include_ended_replays, now, cfg_,
+                             p_visible)) {
+          hits.push_back(b);
+        }
+      }
     }
   }
   map_query::rank_and_truncate(hits, now, cfg_.map_response_cap);

@@ -34,6 +34,21 @@ class World : public WorldView {
   /// measurements can start immediately).
   void start(bool prepopulate = true);
 
+  /// Map-query index: a fixed lat/lon grid of kCellDeg-square cells.
+  /// 4° cells (45×90 = 4,050 cells, ~97 KB of empty vectors) took
+  /// crawl_usage from ~17 k to ~26 k requests/s; 2° cells were no faster
+  /// with four times the table.
+  static constexpr double kCellDeg = 4.0;
+
+  /// Map query over the cell index. Invariant: every registered broadcast
+  /// sits in exactly one cell, the one its location maps to, from
+  /// add_broadcast until gc() or a same-id replacement removes it. The
+  /// query visits the cell rows and columns between those of the
+  /// rectangle's min and max corners. Cell math is monotone (clamped in
+  /// double first), so these cover every point the rectangle contains,
+  /// and map_query::admit stays the only membership test. Ranking is a
+  /// total order (ids are unique here), so the result does not depend on
+  /// the order the cells are visited in.
   std::vector<const BroadcastInfo*> query_rect(
       const geo::GeoRect& rect,
       bool include_ended_replays = false) const override;
@@ -73,6 +88,11 @@ class World : public WorldView {
     double weight = 1.0;
   };
 
+  using Cell = std::vector<const BroadcastInfo*>;
+  Cell& cell_of(const BroadcastInfo& b);
+  void index(const BroadcastInfo* b);
+  void unindex(const BroadcastInfo* b);
+
   void schedule_next_arrival();
   void spawn_one(TimePoint start_time);
   void gc();
@@ -84,6 +104,7 @@ class World : public WorldView {
   std::vector<Hotspot> hotspots_;
   double arrival_rate_hz_ = 1.0;
   std::map<BroadcastId, std::unique_ptr<BroadcastInfo>> broadcasts_;
+  std::vector<Cell> grid_;  // map-query index, row-major by latitude
   std::size_t total_created_ = 0;
   AddedFn on_added_;
   RemovedFn on_removed_;

@@ -35,13 +35,24 @@ bool admit(const BroadcastInfo& b, const geo::GeoRect& rect,
 
 void rank_and_truncate(std::vector<const BroadcastInfo*>& hits,
                        TimePoint now, std::size_t cap) {
-  std::sort(hits.begin(), hits.end(),
-            [now](const BroadcastInfo* a, const BroadcastInfo* b) {
-              const int va = a->viewers_at(now), vb = b->viewers_at(now);
-              if (va != vb) return va > vb;
-              return a->id < b->id;
-            });
-  if (hits.size() > cap) hits.resize(cap);
+  // One viewers_at() per hit, then a top-`cap` partial sort. With unique
+  // ids the order is total, so the result equals a full sort + truncate
+  // whatever order the hits arrive in.
+  struct Ranked {
+    int viewers;
+    const BroadcastInfo* b;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(hits.size());
+  for (const BroadcastInfo* b : hits) ranked.push_back({b->viewers_at(now), b});
+  const std::size_t k = std::min(cap, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(k),
+                    ranked.end(), [](const Ranked& a, const Ranked& b) {
+                      if (a.viewers != b.viewers) return a.viewers > b.viewers;
+                      return a.b->id < b.b->id;
+                    });
+  hits.resize(k);
+  for (std::size_t i = 0; i < k; ++i) hits[i] = ranked[i].b;
 }
 
 bool teleport_candidate(const BroadcastInfo& b, TimePoint now,

@@ -123,8 +123,6 @@ World::Cell& World::cell_of(const BroadcastInfo& b) {
                                         lon_col(b.location.lon_deg))];
 }
 
-void World::index(const BroadcastInfo* b) { cell_of(*b).push_back(b); }
-
 void World::unindex(const BroadcastInfo* b) {
   Cell& cell = cell_of(*b);
   *std::find(cell.begin(), cell.end(), b) = cell.back();
@@ -138,7 +136,7 @@ const BroadcastInfo* World::add_broadcast(BroadcastInfo info) {
   auto& slot = broadcasts_[ptr->id];
   if (slot) unindex(slot.get());  // same id: the new one replaces it
   slot = std::move(owned);
-  index(ptr);
+  cell_of(*ptr).push_back(ptr);
   if (on_added_) on_added_(*ptr, sim_.now());
   return ptr;
 }

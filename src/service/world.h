@@ -35,9 +35,10 @@ class World : public WorldView {
   void start(bool prepopulate = true);
 
   /// Map-query index: a fixed lat/lon grid of kCellDeg-square cells.
-  /// 4° cells (45×90 = 4,050 cells, ~97 KB of empty vectors) took
-  /// crawl_usage from ~17 k to ~26 k requests/s; 2° cells were no faster
-  /// with four times the table.
+  /// 4° cells (45×90 = 4,050 cells, ~97 KB of empty vectors) raised
+  /// pscbench crawl_usage work_per_s by 42 % (4-core EPYC, seed 77, 10
+  /// interleaved pairs); 2° cells were no faster (−2.8 % median over 5
+  /// pairs against 4°) with four times the table.
   static constexpr double kCellDeg = 4.0;
 
   /// Map query over the cell index. Invariant: every registered broadcast
@@ -90,7 +91,6 @@ class World : public WorldView {
 
   using Cell = std::vector<const BroadcastInfo*>;
   Cell& cell_of(const BroadcastInfo& b);
-  void index(const BroadcastInfo* b);
   void unindex(const BroadcastInfo* b);
 
   void schedule_next_arrival();

@@ -44,9 +44,12 @@ void rank_and_truncate(std::vector<const BroadcastInfo*>& hits,
   };
   std::vector<Ranked> ranked;
   ranked.reserve(hits.size());
-  for (const BroadcastInfo* b : hits) ranked.push_back({b->viewers_at(now), b});
+  for (const BroadcastInfo* b : hits) {
+    ranked.push_back({b->viewers_at(now), b});
+  }
   const std::size_t k = std::min(cap, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(k),
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<std::ptrdiff_t>(k),
                     ranked.end(), [](const Ranked& a, const Ranked& b) {
                       if (a.viewers != b.viewers) return a.viewers > b.viewers;
                       return a.b->id < b.b->id;

@@ -236,9 +236,10 @@ TEST_P(WorldIndex, InjectionsAtTheEdgesOfTheWorld) {
   inject("edge-east-180", 10, 179.999);
   inject("edge-corner-1", 89.999, 179.999);
   inject("edge-corner-2", -90, -180);
-  inject("edge-off-lat", 95, 10);    // outside the world: never contained
-  inject("edge-off-lon", 10, 200);   // ...except by rectangles past 180
-  inject("edge-nan-loc", nan, nan);  // never contained by anything
+  // Outside the world: only rectangles reaching past 90 / 180 hold them.
+  inject("edge-off-lat", 95, 10);
+  inject("edge-off-lon", 10, 200);
+  inject("edge-nan-loc", nan, nan);  // no rectangle contains NaN
   // Same id twice: the second replaces the first in a different cell.
   inject("edge-dup-0001", 40, 2);
   const BroadcastInfo* dup = inject("edge-dup-0001", -30, 150);
@@ -307,50 +308,32 @@ std::vector<BroadcastInfo> tied_broadcasts(int n, int distinct_viewers) {
 }
 
 TEST(RankAndTruncate, MatchesFullSortWithTiesForEveryCap) {
+  // n = 0 is the empty hit list; distinct = 1 ties every hit, so the
+  // order is the id order alone.
   const TimePoint now = time_at(100);
   std::mt19937_64 rng(3);
   for (int n : {0, 1, 2, 7, 60, 61, 500}) {
-    const auto broadcasts = tied_broadcasts(n, 4);
-    Hits base;
-    for (const BroadcastInfo& b : broadcasts) base.push_back(&b);
-    const auto un = static_cast<std::size_t>(n);
-    for (std::size_t cap : {std::size_t{0}, std::size_t{1}, un / 2, un,
-                            un + 1, std::size_t{60}, std::size_t{1000}}) {
-      Hits want = base;
-      reference_rank(want, now, cap);
-      ASSERT_EQ(want.size(), std::min(cap, un));
-      // Any arrival order gives the same answer.
-      for (int shuffle = 0; shuffle < 5; ++shuffle) {
-        Hits got = base;
-        std::shuffle(got.begin(), got.end(), rng);
-        map_query::rank_and_truncate(got, now, cap);
-        EXPECT_EQ(got, want) << "n=" << n << " cap=" << cap;
+    for (int distinct : {1, 4}) {
+      const auto broadcasts = tied_broadcasts(n, distinct);
+      Hits base;
+      for (const BroadcastInfo& b : broadcasts) base.push_back(&b);
+      const auto un = static_cast<std::size_t>(n);
+      for (std::size_t cap : {std::size_t{0}, std::size_t{1}, un / 2, un,
+                              un + 1, std::size_t{60}, std::size_t{1000}}) {
+        Hits want = base;
+        reference_rank(want, now, cap);
+        ASSERT_EQ(want.size(), std::min(cap, un));
+        // Any arrival order gives the same answer.
+        for (int shuffle = 0; shuffle < 5; ++shuffle) {
+          Hits got = base;
+          std::shuffle(got.begin(), got.end(), rng);
+          map_query::rank_and_truncate(got, now, cap);
+          EXPECT_EQ(got, want)
+              << "n=" << n << " distinct=" << distinct << " cap=" << cap;
+        }
       }
     }
   }
-}
-
-TEST(RankAndTruncate, AllTiedFallsBackToIdOrder) {
-  const TimePoint now = time_at(100);
-  const auto broadcasts = tied_broadcasts(200, 1);  // everyone at 0
-  Hits hits;
-  for (auto it = broadcasts.rbegin(); it != broadcasts.rend(); ++it) {
-    hits.push_back(&*it);
-  }
-  map_query::rank_and_truncate(hits, now, 60);
-  ASSERT_EQ(hits.size(), 60u);
-  EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end(),
-                             [](const BroadcastInfo* a, const BroadcastInfo* b) {
-                               return a->id < b->id;
-                             }));
-}
-
-TEST(RankAndTruncate, EmptyHitListStaysEmpty) {
-  Hits hits;
-  map_query::rank_and_truncate(hits, time_at(0), 60);
-  EXPECT_TRUE(hits.empty());
-  map_query::rank_and_truncate(hits, time_at(0), 0);
-  EXPECT_TRUE(hits.empty());
 }
 
 }  // namespace

@@ -11,11 +11,6 @@
 //                   because the seed kernel is quadratic here.
 //   mixed           self-rescheduling tickers + churn of cancelled one-shots
 //
-// Each workload also runs against a heap-only geometry of the current
-// kernel (a single-bucket wheel routes every schedule to the 4-ary heap
-// tier) so the calendar wheel's contribution is isolated from the other
-// kernel improvements (O(1) cancel, inline callbacks, move-pop heap).
-//
 // Also counts heap allocations per event (global operator new override) to
 // verify the InlineCallback<96> small-buffer path: captures <= 96 bytes
 // must not allocate. The workload capture is 24 bytes — past
@@ -139,7 +134,7 @@ std::vector<double> make_times(std::size_t n) {
 struct Sink {
   std::uint64_t value = 0;
   // Padding pushes the capture {Sink*, pad} past std::function's 16-byte
-  // SSO while staying far under InlineCallback's 64.
+  // SSO while staying far under InlineCallback's 96.
   void bump(std::uint64_t a, std::uint64_t b) { value += 1 + a + b; }
 };
 
@@ -230,16 +225,13 @@ struct Workload {
   // nothing by design.
   double new_secs = 0;
   double legacy_secs = 0;
-  double heap_secs = 0;         // current kernel, heap-only geometry
   double new_events_s = 0;      // scheduled events/sec, current kernel
   double legacy_events_s = 0;   // scheduled events/sec, seed-kernel replica
-  double heap_events_s = 0;     // scheduled events/sec, heap-only geometry
   double new_allocs = 0;        // allocations per scheduled event
   double legacy_allocs = 0;
-  double wheel_inserts = 0;     // schedules that took the O(1) wheel path
 };
 
-/// Run one workload against a sim::Simulation with the given geometry.
+/// Run one workload against a sim::Simulation.
 template <typename RunnerFn>
 RunStats run_new_kernel(sim::Simulation& sim, RunnerFn&& runner,
                         Sink* sink) {
@@ -304,22 +296,12 @@ int main(int argc, char** argv) {
       }
     };
     {
-      sim::Simulation sim;  // default calendar-wheel geometry
+      sim::Simulation sim;
       const RunStats st = run_new_kernel(sim, runner, &sink);
       wl.new_secs = st.secs;
       wl.new_events_s = static_cast<double>(wl.events) / st.secs;
       wl.new_allocs = static_cast<double>(st.allocs) /
                       static_cast<double>(wl.events);
-      wl.wheel_inserts = static_cast<double>(sim.wheel_inserts());
-    }
-    {
-      // Heap-only geometry: a single-bucket wheel means every schedule
-      // lands at or beyond the cursor bucket and routes to the heap tier
-      // (wheel_inserts stays 0) — same kernel, calendar front end off.
-      sim::Simulation sim(Duration{0.004}, 1);
-      const RunStats st = run_new_kernel(sim, runner, &sink);
-      wl.heap_secs = st.secs;
-      wl.heap_events_s = static_cast<double>(wl.events) / st.secs;
     }
     {
       LegacySimulation sim;
@@ -347,20 +329,6 @@ int main(int argc, char** argv) {
                 w.new_events_s / w.legacy_events_s, w.new_allocs,
                 w.legacy_allocs);
   }
-  std::printf("\n%-16s %13s %15s %8s %13s\n", "workload", "wheel ev/s",
-              "heap-only ev/s", "speedup", "wheel inserts");
-  for (const Workload& w : results) {
-    std::printf("%-16s %13.0f %15.0f %7.2fx %13.0f\n", w.name,
-                w.new_events_s, w.heap_events_s,
-                w.new_events_s / w.heap_events_s, w.wheel_inserts);
-  }
-  std::printf("\n(heap-only = the same kernel with a single-bucket wheel, "
-              "so every schedule routes to the 4-ary heap tier. These "
-              "workloads spread schedules across ~1000 s of virtual time "
-              "against a 16 s wheel horizon, so wheel occupancy stays low "
-              "— a floor for the wheel's win. The media pipeline is the "
-              "other extreme: bench_fig3_stalls routes ~98%% of its "
-              "schedules through the wheel)\n");
   std::printf("(new-kernel allocations amortise to ~0/event — only "
               "vector growth; the seed kernel paid one std::function "
               "allocation per event for this 24-byte capture plus its "
@@ -377,12 +345,8 @@ int main(int argc, char** argv) {
     bench::emit_bench_line(name, w.new_secs, reporter.local(),
                       {{"events", static_cast<double>(w.events)},
                        {"seed_wall_s", w.legacy_secs},
-                       {"heap_only_wall_s", w.heap_secs},
                        {"events_per_sec", w.new_events_s},
                        {"seed_events_per_sec", w.legacy_events_s},
-                       {"heap_only_events_per_sec", w.heap_events_s},
-                       {"wheel_speedup", w.new_events_s / w.heap_events_s},
-                       {"wheel_inserts", w.wheel_inserts},
                        {"new_allocs_per_event", w.new_allocs},
                        {"seed_allocs_per_event", w.legacy_allocs}});
     reporter.local()

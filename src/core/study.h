@@ -110,6 +110,7 @@ struct SessionRecord {
 struct KernelTotals {
   std::uint64_t events_executed = 0;
   std::uint64_t events_scheduled = 0;
+  /// Always 0: the kernel has one queue tier; kept for existing readers.
   std::uint64_t wheel_inserts = 0;
   std::uint64_t callback_heap_allocs = 0;
   /// Fresh allocator hits attributable to the media-path arena
@@ -122,7 +123,6 @@ struct KernelTotals {
   void merge(const KernelTotals& o) {
     events_executed += o.events_executed;
     events_scheduled += o.events_scheduled;
-    wheel_inserts += o.wheel_inserts;
     callback_heap_allocs += o.callback_heap_allocs;
     arena_allocations += o.arena_allocations;
     arena_buffers_reused += o.arena_buffers_reused;

@@ -1,6 +1,7 @@
 #include "gateway/event_loop.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -136,6 +137,7 @@ Result<std::uint16_t> EventLoop::listen(
   ::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev);
   listeners_[fd] =
       Listener{fd, bound, std::move(handlers), std::move(on_accept)};
+  if (spare_fd_ < 0) spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
   return bound;
 }
 
@@ -180,7 +182,20 @@ void EventLoop::accept_ready(Listener& l) {
   for (;;) {
     const int fd = ::accept4(l.fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: wait for next report
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // EAGAIN, or an error the next readiness report may clear.
+      if ((errno != EMFILE && errno != ENFILE) || spare_fd_ < 0) return;
+      // Out of descriptors: the peer would sit in the backlog and keep the
+      // level-triggered listener ready on every poll. Spend the reserve fd
+      // to accept and drop it, then take the reserve back.
+      ::close(spare_fd_);
+      const int shed = ::accept4(l.fd, nullptr, nullptr, SOCK_CLOEXEC);
+      if (shed >= 0) ::close(shed);
+      spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (shed < 0) return;
+      continue;
+    }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn =
@@ -298,6 +313,8 @@ void EventLoop::stop_listening() {
     ::close(fd);
   }
   listeners_.clear();
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+  spare_fd_ = -1;
 }
 
 void EventLoop::close_all() {

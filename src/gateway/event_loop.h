@@ -14,6 +14,11 @@
 // cap; one more send marks the connection overflowed and the loop closes
 // it — unbounded buffering is impossible by construction
 // (tests/test_gateway_bridge.cpp pins this).
+//
+// Descriptor exhaustion: while listening, the loop holds one reserve fd.
+// When accept fails with EMFILE/ENFILE it closes the reserve, accepts and
+// drops the waiting peer, and reopens the reserve — so a full descriptor
+// table sheds peers instead of spinning on a listener that stays ready.
 #pragma once
 
 #include <cstdint>
@@ -157,6 +162,7 @@ class EventLoop {
   std::map<int, Listener> listeners_;
   std::map<int, Entry> conns_;
   std::vector<int> doomed_;  // fds to destroy after dispatch
+  int spare_fd_ = -1;        // reserve fd spent on EMFILE/ENFILE accepts
   std::vector<std::uint8_t> readbuf_;
 };
 

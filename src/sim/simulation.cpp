@@ -1,26 +1,9 @@
 #include "sim/simulation.h"
 
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace psc::sim {
-
-double Simulation::bucket_index(TimePoint t) const {
-  // Multiply by the precomputed reciprocal: this is on the per-event path,
-  // and any (consistent) rounding is fine — the bucket map only has to
-  // agree between insert and drain, which a single formula guarantees.
-  // std::floor is a libm call at the default x86-64 baseline, so truncate
-  // through int64 instead: sim time is never negative, the round-trip is
-  // exact below 2^63, and anything larger is past every wheel horizon and
-  // only feeds range comparisons, where the un-floored value compares the
-  // same way.
-  const double x = t.time_since_epoch().count() * inv_tick_s_;
-  if (x >= 0.0 && x < 9223372036854775808.0) {
-    return static_cast<double>(static_cast<std::int64_t>(x));
-  }
-  return std::floor(x);
-}
 
 EventHandle Simulation::schedule_at(TimePoint when, Callback fn) {
   assert(fn);
@@ -36,24 +19,10 @@ EventHandle Simulation::schedule_at(TimePoint when, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   if (!s.fn.is_inline()) ++callback_spills_;
-  const Node n{when, next_seq_++, slot, s.gen};
-  // Tier selection: the cursor bucket (and anything clamped behind it)
-  // must interleave with already-heaped nodes, and far-future events wait
-  // in the overflow heap; everything else takes the O(1) wheel path.
-  const double bi = bucket_index(when);
-  if (bi <= static_cast<double>(cursor_) ||
-      bi >= static_cast<double>(cursor_ + buckets_.size())) {
-    heap_push(n);
-  } else {
-    buckets_[static_cast<std::uint64_t>(bi) % buckets_.size()].push_back(n);
-    ++wheel_count_;
-    ++wheel_inserts_;
-  }
+  heap_push(Node{when, next_seq_++, slot, s.gen});
   ++live_count_;
   ++scheduled_;
-  if (heap_.size() + wheel_count_ > max_heap_) {
-    max_heap_ = heap_.size() + wheel_count_;
-  }
+  if (heap_.size() > max_heap_) max_heap_ = heap_.size();
   return EventHandle{slot, s.gen};
 }
 
@@ -109,78 +78,34 @@ void Simulation::run_until(TimePoint until) {
   if (now_ < until) now_ = until;
 }
 
-void Simulation::dump_bucket() {
-  std::vector<Node>& b = buckets_[cursor_ % buckets_.size()];
-  if (b.empty()) return;
-  wheel_count_ -= b.size();
-  for (const Node& n : b) heap_push(n);
-  b.clear();  // keeps capacity: steady-state wheel traffic never allocates
-}
-
 void Simulation::run_events_until(TimePoint until) {
-  const double until_bi = bucket_index(until);
-  for (;;) {
-    // Fire heap events due in (or before) the cursor bucket.
-    while (!heap_.empty()) {
-      const Node top = heap_.front();
-      // Only once the top's bucket is at (or behind) the cursor is it the
-      // global minimum — wheel buckets ahead may hold earlier nodes, so
-      // the `until` cutoff must not be tested before this.
-      if (bucket_index(top.when) > static_cast<double>(cursor_)) break;
-      if (top.when > until) return;
-      heap_pop_top();
-      Slot& s = slots_[top.slot];
-      if (s.gen != top.gen) {
-        // Cancelled while queued; the slot was held back until its node
-        // surfaced — reclaim it now.
-        free_slots_.push_back(top.slot);
-        continue;
-      }
-      Callback fn = std::move(s.fn);
-      ++s.gen;  // fire invalidates the handle before user code runs
+  while (!heap_.empty()) {
+    const Node top = heap_.front();
+    if (top.when > until) return;
+    heap_pop_top();
+    Slot& s = slots_[top.slot];
+    if (s.gen != top.gen) {
+      // Cancelled while queued; the slot was held back until its node
+      // surfaced — reclaim it now.
       free_slots_.push_back(top.slot);
-      --live_count_;
-      now_ = top.when;
-      ++executed_;
-      fn();
-    }
-    if (heap_.empty() && wheel_count_ == 0) return;
-    if (wheel_count_ == 0) {
-      // Only heap (far-future) events remain: jump the cursor straight to
-      // the next event's bucket — no buckets in between to dump.
-      if (heap_.front().when > until) return;
-      cursor_ = static_cast<std::uint64_t>(bucket_index(heap_.front().when));
       continue;
     }
-    // Wheel traffic ahead: advance one bucket and pull it into the heap.
-    // Bounded by the wheel span — resident nodes sit within the horizon.
-    if (static_cast<double>(cursor_) >= until_bi) return;
-    ++cursor_;
-    dump_bucket();
+    Callback fn = std::move(s.fn);
+    ++s.gen;  // fire invalidates the handle before user code runs
+    free_slots_.push_back(top.slot);
+    --live_count_;
+    now_ = top.when;
+    ++executed_;
+    fn();
   }
 }
 
 std::optional<TimePoint> Simulation::next_due_bound() const {
+  // A live event implies a queued node; the front can only be early (a
+  // cancelled node), never later than the next live event.
   if (live_count_ == 0) return std::nullopt;
-  TimePoint bound{Duration{1e18}};
-  bool found = false;
-  if (!heap_.empty()) {
-    bound = heap_.front().when;
-    found = true;
-  }
-  if (wheel_count_ > 0) {
-    // First occupied bucket at or ahead of the cursor; its floor time
-    // bounds every node resident in it from below.
-    for (std::uint64_t k = cursor_; k < cursor_ + buckets_.size(); ++k) {
-      if (buckets_[k % buckets_.size()].empty()) continue;
-      const TimePoint floor_t{Duration{static_cast<double>(k) * tick_s_}};
-      if (!found || floor_t < bound) bound = floor_t;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return std::nullopt;  // only cancelled nodes remain queued
-  return bound < now_ ? now_ : bound;
+  const TimePoint front = heap_.front().when;
+  return front < now_ ? now_ : front;
 }
 
 void Simulation::run_all() {

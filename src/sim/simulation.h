@@ -1,32 +1,20 @@
 // Discrete-event simulation kernel.
 //
-// A Simulation owns the virtual clock and a two-tier event queue: a
-// calendar wheel of fixed-width time buckets in front of a 4-ary min-heap.
-// Events scheduled for the same instant fire in scheduling order (a
-// monotonic sequence number breaks ties), which keeps runs deterministic.
+// A Simulation owns the virtual clock and one event queue: a 4-ary
+// min-heap ordered by (when, seq). Events scheduled for the same instant
+// fire in scheduling order (a monotonic sequence number breaks ties),
+// which keeps runs deterministic.
 //
-// Queue tiers (this is the hottest loop in the whole system):
-//   * Calendar wheel: events landing within the wheel horizon
-//     (`tick × buckets` ahead of the cursor) are appended O(1) to their
-//     bucket. As the cursor reaches a bucket, its nodes are dumped into
-//     the heap — so the heap only ever holds the events of the bucket
-//     being drained plus the far-future tail, keeping sift depth tiny.
-//   * 4-ary min-heap: the ordering tier. Events due in the cursor bucket
-//     (or clamped into the past) and events beyond the wheel horizon
-//     (far-future overflow) live here; overflow nodes are "promoted"
-//     simply by already being in the heap when the cursor arrives.
-//     Because every node is heap-ordered by (when, seq) before it fires,
-//     the wheel is invisible to observers: execution order is exactly
-//     that of a single global heap.
+// Layout (this is the hottest loop in the whole system):
 //   * Heap nodes are 32 trivially-copyable bytes ({when, seq, slot, gen});
 //     sift operations never move a callback. The 4-ary layout halves tree
 //     depth vs binary and keeps the child scan inside one cache line.
-//   * Callbacks live in a slot table as InlineCallback<64>, so the common
+//   * Callbacks live in a slot table as InlineCallback<96>, so the common
 //     lambda capture (`this` + a few words) never heap-allocates.
-//   * Handles are generation-counted: cancel() is O(1) even for a node
-//     resting in a wheel bucket, and a handle to an event that already
-//     fired (or was cancelled) is detected exactly — no cancelled-id list
-//     to scan, no liveness corruption.
+//   * Handles are generation-counted: cancel() is O(1) and leaves its node
+//     in the heap to be skipped when it surfaces, and a handle to an event
+//     that already fired (or was cancelled) is detected exactly — no
+//     cancelled-id list to scan, no liveness corruption.
 #pragma once
 
 #include <cstdint>
@@ -62,14 +50,7 @@ class Simulation {
   /// path never heap-allocates; bigger captures transparently spill.
   using Callback = InlineCallback<96>;
 
-  /// Default wheel geometry: 4 ms ticks × 4096 buckets = a 16.4 s horizon,
-  /// sized so media pacing (tens of ms) and HTTP round trips land in the
-  /// wheel while session-length timeouts overflow to the heap tier.
-  Simulation() : Simulation(Duration{0.004}, 4096) {}
-  Simulation(Duration wheel_tick, std::size_t wheel_buckets)
-      : tick_s_(wheel_tick.count() > 0 ? wheel_tick.count() : 0.004),
-        inv_tick_s_(1.0 / tick_s_),
-        buckets_(wheel_buckets > 0 ? wheel_buckets : 1) {}
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -98,13 +79,11 @@ class Simulation {
   bool pending() const { return live_count_ > 0; }
 
   /// Lower bound on the due time of the next live event, or nullopt when
-  /// nothing is pending. The bound may be early — a cancelled node still
-  /// resting in the heap, or a wheel bucket whose nodes are due later than
-  /// its floor, both pull it down — but it is never late, which is the
-  /// contract a wall-clock pacer needs to size its poll timeout
-  /// (gateway::SimBridge): waking too early costs one extra poll, waking
-  /// too late would stall due events. O(buckets) worst case, O(1) when the
-  /// heap is non-empty and no wheel traffic is ahead of it.
+  /// nothing is pending: the heap front, clamped to now(). O(1). It is
+  /// exact unless a cancelled node rests at the front, which pulls it
+  /// early — but it is never late, which is the contract a wall-clock
+  /// pacer needs to size its poll timeout (gateway::SimBridge): waking too
+  /// early costs one extra poll, waking too late would stall due events.
   std::optional<TimePoint> next_due_bound() const;
 
   /// --- Kernel counters (always on; a handful of arithmetic ops per
@@ -114,10 +93,8 @@ class Simulation {
   std::size_t events_executed() const { return executed_; }
   std::size_t events_scheduled() const { return scheduled_; }
   std::size_t events_cancelled() const { return cancelled_; }
-  /// Peak number of queued nodes (wheel + heap) ever pending at once.
+  /// Peak number of heap nodes (live or cancelled) ever queued at once.
   std::size_t max_heap_depth() const { return max_heap_; }
-  /// Events that took the O(1) wheel path instead of a heap push.
-  std::size_t wheel_inserts() const { return wheel_inserts_; }
   /// Callbacks whose capture spilled past the InlineCallback buffer and
   /// heap-allocated (should stay ~0; see bench_micro_sim).
   std::size_t callback_heap_allocs() const { return callback_spills_; }
@@ -147,25 +124,14 @@ class Simulation {
 
   static constexpr std::size_t kArity = 4;
 
-  /// Absolute bucket index of `t` (double: exact for any realistic sim
-  /// time, and immune to the 1e18 run_all sentinel overflowing integers).
-  double bucket_index(TimePoint t) const;
-
   void heap_push(Node n);
   void heap_pop_top();
   void sift_down(std::size_t i);
-  /// Move every node of the cursor bucket into the heap.
-  void dump_bucket();
   void run_events_until(TimePoint until);
 
   std::vector<Node> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  double tick_s_;
-  double inv_tick_s_ = 250.0;
-  std::vector<std::vector<Node>> buckets_;
-  std::uint64_t cursor_ = 0;      // absolute index of the bucket being drained
-  std::size_t wheel_count_ = 0;   // nodes resident in buckets_
   TimePoint now_{};
   std::uint64_t next_seq_ = 1;
   std::size_t executed_ = 0;
@@ -174,7 +140,6 @@ class Simulation {
   std::size_t cancelled_ = 0;
   std::size_t max_heap_ = 0;
   std::size_t callback_spills_ = 0;
-  std::size_t wheel_inserts_ = 0;
 };
 
 }  // namespace psc::sim

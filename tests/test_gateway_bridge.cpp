@@ -1,14 +1,21 @@
 // Clock-bridge and event-loop invariants for the interop gateway:
-//  - Simulation::next_due_bound() is an early-but-never-late bound;
+//  - Simulation::next_due_bound() is the next event's time, early only
+//    when a cancelled node rests at the heap front, and never late;
 //  - SimBridge never runs the simulation ahead of the wall clock and
 //    delivers events in the exact (when, seq) order of a pure-sim run;
 //  - poll_timeout_ms() maps the next due event onto a bounded epoll wait;
 //  - a slow (never-reading) peer hits the per-connection write cap and is
-//    closed instead of buffering without bound.
+//    closed instead of buffering without bound;
+//  - a listener out of descriptors sheds the waiting peer instead of
+//    spinning on a readiness report it cannot clear.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <string>
 #include <utility>
@@ -39,12 +46,20 @@ TEST(NextDueBound, EarlyButNeverLate) {
   for (double w : whens) {
     const auto bound = sim.next_due_bound();
     ASSERT_TRUE(bound.has_value());
-    // The bound may be early (wheel-bucket floor) but never past the
-    // actually-next event, and never behind the current clock.
-    EXPECT_LE(to_s(*bound), w);
-    EXPECT_GE(to_s(*bound), to_s(sim.now()));
+    // No cancelled node is queued, so the heap front is the next event.
+    EXPECT_EQ(to_s(*bound), w);
     sim.run_until(time_at(w));
   }
+
+  // A cancelled node resting at the heap front pulls the bound early,
+  // but never past the next live event nor behind the clock.
+  const sim::EventHandle h = sim.schedule_at(time_at(3700.0), [] {});
+  sim.schedule_at(time_at(3800.0), [] {});
+  ASSERT_TRUE(sim.cancel(h));
+  const auto bound = sim.next_due_bound();
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_LE(to_s(*bound), 3800.0);
+  EXPECT_GE(to_s(*bound), to_s(sim.now()));
 }
 
 TEST(SimBridge, NeverRunsAheadOfWall) {
@@ -100,7 +115,7 @@ TEST(SimBridge, DeliveryOrderMatchesPureSim) {
   build(bridged, bridged_order);
   double wall = 0.0;
   gateway::SimBridge bridge(bridged, [&] { return wall; });
-  // Irregular increments, including ones that land mid-bucket.
+  // Irregular increments, including ones that land between events.
   for (double dw : {0.05, 0.13, 0.02, 0.4, 0.11, 0.07, 0.9, 0.5}) {
     wall += dw;
     bridge.advance();
@@ -196,6 +211,52 @@ TEST(EventLoopBackPressure, CloseAfterFlushDeliversQueuedBytes) {
   EXPECT_TRUE(received == payload);
   for (int i = 0; i < 1000 && loop.connection_count() > 0; ++i) loop.poll(0);
   EXPECT_EQ(loop.connection_count(), 0u);
+}
+
+// With the descriptor table full, accept4 fails with EMFILE and the
+// level-triggered listener stays ready while the peer waits in the
+// backlog. The loop must shed that peer (it reads EOF) and go quiet
+// instead of reporting the listener on every poll.
+TEST(EventLoopAccept, DescriptorExhaustionShedsPeerInsteadOfSpinning) {
+  gateway::EventLoop loop;
+  std::size_t accepted = 0;
+  auto port = loop.listen(0, gateway::ConnectionHandlers{},
+                          [&](gateway::Connection&) { ++accepted; });
+  ASSERT_TRUE(port.ok());
+
+  const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port.value());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Lower this process's soft limit to its lowest free descriptor, so
+  // every descriptor below the limit is in use.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::dup(client);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  const int first = loop.poll(1000);
+  const int second = loop.poll(0);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  EXPECT_GE(first, 1);
+  EXPECT_EQ(second, 0) << "listener still ready: the accept loop spins";
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_EQ(loop.connection_count(), 0u);
+  pollfd pfd{client, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 1000), 1);
+  char byte = 0;
+  EXPECT_EQ(::recv(client, &byte, 1, 0), 0) << "peer was not shed";
+  ::close(client);
 }
 
 }  // namespace

@@ -76,6 +76,26 @@ TEST(FaultCampaign, DeterministicAcrossThreadCountsSharedWorld) {
   EXPECT_EQ(resilience_fingerprint(ShardedRunner(8).run(campaign)), seq);
 }
 
+// Simulation::Callback's 96-byte inline buffer is sized to hold every
+// callback the codebase schedules; one that outgrows it heap-allocates on
+// every schedule. Pin zero spills on both campaign paths: independent
+// worlds without faults, and a shared world under a fault plan.
+TEST(FaultCampaign, NoCallbackSpillsIndependentCleanOrSharedFaulted) {
+  ShardedCampaign clean = fault_campaign(77, 8);
+  clean.base.fault.enabled = false;
+  const CampaignResult rc = ShardedRunner(2).run(clean);
+  EXPECT_GT(rc.kernel.events_executed, 0u);
+  EXPECT_EQ(rc.kernel.callback_heap_allocs, 0u);
+
+  ShardedCampaign faulted = fault_campaign(77, 24);
+  faulted.base.mode = CampaignMode::shared_world;
+  faulted.shard_size = 12;
+  const CampaignResult rf = ShardedRunner(2).run(faulted);
+  EXPECT_GT(activity(rf), 0.0);
+  EXPECT_GT(rf.kernel.events_executed, 0u);
+  EXPECT_EQ(rf.kernel.callback_heap_allocs, 0u);
+}
+
 // A plan must actually perturb sessions (else the above just re-tests the
 // faults-off path), and turning faults on must change outcomes vs. clean.
 TEST(FaultCampaign, FaultsPerturbOutcomes) {

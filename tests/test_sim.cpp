@@ -1,7 +1,12 @@
 // Discrete-event simulation kernel tests.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -180,6 +185,63 @@ TEST(Simulation, CancelStress) {
   EXPECT_EQ(sim.events_executed(), fired);
   EXPECT_GT(cancelled, 0u);
   EXPECT_GT(fired, 0u);
+}
+
+// Regression: a far-future event at the heap top past `until` must not
+// hold back an earlier event due before `until` in the same run_until.
+TEST(Simulation, FarFutureEventDoesNotMaskEarlierOnes) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(time_at(50.0), [&] { order.push_back(99); });
+  sim.schedule_at(time_at(0.1), [&] { order.push_back(1); });
+  sim.run_until(time_at(1.0));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 99}));
+}
+
+// Differential check against an exact (when, seq) reference ordering:
+// random schedules (including same-instant and past-time clamps),
+// cancels, and run_until cuts between events.
+TEST(Simulation, MatchesReferenceHeapOrderingUnderStress) {
+  for (int trial = 0; trial < 40; ++trial) {
+    std::mt19937_64 rng(trial * 104729u + 3u);
+    Simulation s;
+    std::set<std::tuple<double, long>> ref;  // (fire time, seq)
+    std::map<long, double> when_of;
+    long seq = 0;
+    long fired = 0;
+    bool ok = true;
+    std::vector<std::pair<EventHandle, long>> handles;
+    std::function<void(double)> sched = [&](double base) {
+      double when = base + static_cast<double>(rng() % 10000) * 0.0005;
+      if (rng() % 8 == 0) when = base + static_cast<double>(rng() % 4);
+      if (rng() % 13 == 0) when = base;  // same-instant FIFO
+      const long my = seq++;
+      const double clamped = when < to_s(s.now()) ? to_s(s.now()) : when;
+      ref.insert({clamped, my});
+      when_of[my] = clamped;
+      handles.push_back({s.schedule_at(time_at(when), [&, my] {
+        ok = ok && !ref.empty() &&
+             *ref.begin() == std::make_tuple(to_s(s.now()), my);
+        if (!ref.empty()) ref.erase(ref.begin());
+        if (++fired < 800 && rng() % 3 != 0) sched(to_s(s.now()));
+        if (fired < 800 && rng() % 5 == 0) sched(to_s(s.now()));
+      }), my});
+    };
+    for (int i = 0; i < 50; ++i) sched(static_cast<double>(rng() % 100) * 0.01);
+    for (int i = 0; i < 10; ++i) {
+      auto [h, id] = handles[rng() % handles.size()];
+      if (s.cancel(h)) ref.erase({when_of[id], id});
+    }
+    s.run_until(time_at(0.0101));
+    s.run_until(time_at(0.016));
+    s.run_until(time_at(1.2345));
+    s.run_all();
+    ASSERT_TRUE(ok) << "trial " << trial << " fired out of order";
+    ASSERT_TRUE(ref.empty()) << "trial " << trial << ": " << ref.size()
+                             << " events never fired";
+  }
 }
 
 // The kernel's callback type must not heap-allocate for small captures.

@@ -218,7 +218,7 @@ class WallTimer {
 /// so the perf trajectory can tell faulted runs from clean ones.
 /// When the run collected metrics, the line also carries the series count
 /// so the perf trajectory records whether instrumentation was on.
-/// `kernel` (optional) carries the campaign's raw kernel/allocator totals;
+/// `kernel` (optional) carries the campaign's raw kernel totals;
 /// the derived `allocs_per_event` field is ALWAYS printed (0 when the
 /// bench has no campaign) so the perf trajectory can regress on it without
 /// special-casing collectors-off runs.
@@ -236,11 +236,8 @@ inline void emit_bench_line(
       static_cast<unsigned long long>(fault_bench_fields().seed),
       kernel != nullptr ? kernel->allocs_per_event() : 0.0);
   if (kernel != nullptr && kernel->events_executed > 0) {
-    std::printf(",\"events_executed\":%llu,\"arena_allocs\":%llu,"
-                "\"slice_retains\":%llu",
-                static_cast<unsigned long long>(kernel->events_executed),
-                static_cast<unsigned long long>(kernel->arena_allocations),
-                static_cast<unsigned long long>(kernel->slice_retains));
+    std::printf(",\"events_executed\":%llu",
+                static_cast<unsigned long long>(kernel->events_executed));
   }
   for (const auto& [key, value] : extra) {
     std::printf(",\"%s\":%g", key, value);

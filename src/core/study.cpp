@@ -208,7 +208,6 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
   // Spin up the live pipeline for this broadcast and let it run so the
   // origin backlog / CDN edge have content before the viewer arrives.
   service::PipelineConfig pipe_cfg = cfg_.pipeline;
-  pipe_cfg.arena = &arena_;  // recycle segment buffers across sessions
   if (cfg_.hls_adaptive && pipe_cfg.transcode_ladder.empty()) {
     pipe_cfg.transcode_ladder = {
         {"mid", media::TranscodeProfile{0.55, 5}, 220e3},
@@ -461,18 +460,6 @@ void Study::finalize_obs() {
   o->metrics.gauge("sim_heap_depth_max")
       .set_max(static_cast<double>(sim_.max_heap_depth()));
 
-  // Media-path arena: allocation avoidance + slice refcount churn.
-  const util::BufferArena::Stats arena = arena_.stats();
-  o->metrics.counter("arena_allocations_total")
-      .add(static_cast<double>(arena.allocations()));
-  o->metrics.counter("arena_buffers_reused_total")
-      .add(static_cast<double>(arena.buffers_reused));
-  o->metrics.counter("arena_slices_adopted_total")
-      .add(static_cast<double>(arena.slices_adopted));
-  o->metrics.counter("arena_slice_retains_total")
-      .add(static_cast<double>(arena.slice_retains));
-  o->metrics.gauge("arena_outstanding_peak")
-      .set_max(static_cast<double>(arena.outstanding_peak));
   o->metrics.gauge("sim_virtual_time_s").set_max(to_s(sim_.now()));
   o->metrics.counter("trace_events_dropped_total")
       .add(static_cast<double>(o->trace.dropped()));
@@ -508,11 +495,6 @@ KernelTotals Study::kernel_totals() const {
   t.events_executed = sim_.events_executed();
   t.events_scheduled = sim_.events_scheduled();
   t.callback_heap_allocs = sim_.callback_heap_allocs();
-  const util::BufferArena::Stats arena = arena_.stats();
-  t.arena_allocations = arena.allocations();
-  t.arena_buffers_reused = arena.buffers_reused;
-  t.slices_adopted = arena.slices_adopted;
-  t.slice_retains = arena.slice_retains;
   return t;
 }
 

@@ -29,7 +29,6 @@
 #include "service/world.h"
 #include "service/world_timeline.h"
 #include "sim/simulation.h"
-#include "util/buffer.h"
 
 namespace psc::core {
 
@@ -104,7 +103,7 @@ struct SessionRecord {
   analysis::StreamAnalysis analysis;
 };
 
-/// Raw kernel + allocator totals of a campaign, independent of the
+/// Raw kernel totals of a campaign, independent of the
 /// observability toggles (the BENCH `allocs_per_event` field must exist
 /// in collectors-off runs too). Summed across shards in shard order.
 struct KernelTotals {
@@ -113,27 +112,18 @@ struct KernelTotals {
   /// Always 0: the kernel has one queue tier; kept for existing readers.
   std::uint64_t wheel_inserts = 0;
   std::uint64_t callback_heap_allocs = 0;
-  /// Fresh allocator hits attributable to the media-path arena
-  /// (buffers + block headers); pool reuse keeps this near-constant.
-  std::uint64_t arena_allocations = 0;
-  std::uint64_t arena_buffers_reused = 0;
-  std::uint64_t slices_adopted = 0;
-  std::uint64_t slice_retains = 0;
 
   void merge(const KernelTotals& o) {
     events_executed += o.events_executed;
     events_scheduled += o.events_scheduled;
     callback_heap_allocs += o.callback_heap_allocs;
-    arena_allocations += o.arena_allocations;
-    arena_buffers_reused += o.arena_buffers_reused;
-    slices_adopted += o.slices_adopted;
-    slice_retains += o.slice_retains;
   }
-  /// Tracked allocations per executed event — the media-path zero-copy
-  /// regression metric (docs/PERFORMANCE.md).
+  /// Callback heap spills per executed event: a scheduled callback whose
+  /// capture outgrows the kernel's inline buffer allocates (the BENCH
+  /// `allocs_per_event` regression metric, docs/PERFORMANCE.md).
   double allocs_per_event() const {
     if (events_executed == 0) return 0.0;
-    return static_cast<double>(arena_allocations + callback_heap_allocs) /
+    return static_cast<double>(callback_heap_allocs) /
            static_cast<double>(events_executed);
   }
 };
@@ -141,7 +131,7 @@ struct KernelTotals {
 struct CampaignResult {
   std::vector<SessionRecord> sessions;
 
-  /// Kernel/allocator counters summed across this campaign's shards.
+  /// Kernel counters summed across this campaign's shards.
   /// Always populated by the sharded runner (no obs toggle needed).
   KernelTotals kernel;
 
@@ -216,7 +206,7 @@ class Study {
   /// campaign; the sharded runner does this before harvesting the shard.
   void finalize_obs();
 
-  /// Raw kernel + arena counters of this shard so far (no obs needed).
+  /// Raw kernel counters of this shard so far (no obs needed).
   KernelTotals kernel_totals() const;
 
   /// The campaign's fault timeline, or nullptr when faults are off.
@@ -278,12 +268,6 @@ class Study {
   StudyConfig cfg_;
   sim::Simulation sim_;
   Rng rng_;
-  /// Media-path buffer recycler, one per shard (deterministic). Declared
-  /// before the retired lists so it outlives every pipeline and capture
-  /// holding a segment slice (late releases after arena destruction are
-  /// still safe — they fall back to the allocator — but recycling is the
-  /// point).
-  util::BufferArena arena_;
   /// Single-writer observability bundle, owned like the RNG and the sim:
   /// one per shard, merged in shard order by the runner.
   obs::Obs obs_;

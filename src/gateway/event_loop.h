@@ -5,7 +5,7 @@
 // bench drivers reuse it). All sockets are non-blocking; reads are drained
 // to EAGAIN on every readiness report, and writes go through a
 // per-connection buffered writer — a deque of util::BufferSlice plus a
-// head offset — so serving an arena-backed HLS segment queues a refcount
+// head offset — so serving a stored HLS segment queues a refcount
 // bump, not a copy. EPOLLOUT interest is registered only while the queue
 // is non-empty (the level-triggered idiom that avoids a busy loop).
 //

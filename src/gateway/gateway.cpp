@@ -32,7 +32,6 @@ Gateway::Gateway(const GatewayConfig& cfg, SimBridge::WallClock clock)
       origin_(cfg.seed),
       store_(SegmentStoreConfig{cfg.segment_target, cfg.playlist_window,
                                 cfg.retain_extra}) {
-  store_.set_arena(&arena_);
   store_.set_metrics(&metrics_);
 
   service::MediaOrigin::StreamHooks hooks;
@@ -233,7 +232,7 @@ void Gateway::handle_http(Connection& c, const http::Request& req) {
       } else if (const SegmentStore::StoredSegment* seg =
                      store_.find_segment(stream, file)) {
         // Zero-copy: the response body is a refcount bump on the same
-        // arena block the segmenter committed.
+        // block the segmenter committed.
         ++segments_served_;
         metrics_.counter("gateway_segments_served_total").add();
         send_response(c, 200, kContentTypeTs, seg->segment.ts_data,

@@ -94,7 +94,6 @@ class Gateway {
   SegmentStore& store() { return store_; }
   obs::Registry& metrics() { return metrics_; }
   service::ApiServer* api() { return api_.get(); }
-  util::BufferArena& arena() { return arena_; }
 
   std::uint64_t http_requests() const { return http_requests_; }
   std::uint64_t segments_served() const { return segments_served_; }
@@ -126,7 +125,6 @@ class Gateway {
   sim::Simulation sim_;
   SimBridge bridge_;
   EventLoop loop_;
-  util::BufferArena arena_;
   obs::Registry metrics_;
 
   service::MediaOrigin origin_;

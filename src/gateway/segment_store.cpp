@@ -1,5 +1,6 @@
 #include "gateway/segment_store.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace psc::gateway {
@@ -33,9 +34,12 @@ void SegmentStore::on_publish_start(const std::string& stream, TimePoint now) {
     // Re-publish of the same key: drop any stale partial; the playlist
     // window and sequence numbering continue across the restart.
     it->second.segmenter.discard();
-    it->second.ended = false;
+    if (it->second.ended) {
+      ended_.erase(std::find(ended_.begin(), ended_.end(), stream));
+      it->second.playlist.reopen();
+      it->second.ended = false;
+    }
   }
-  it->second.segmenter.set_arena(arena_);
   it->second.publish_started_at = now;
   it->second.saw_first_segment = false;
   if (publishes_total_ != nullptr) publishes_total_->add();
@@ -53,19 +57,29 @@ void SegmentStore::on_sample(const std::string& stream,
 void SegmentStore::on_publish_end(const std::string& stream, TimePoint now) {
   auto it = streams_.find(stream);
   if (it == streams_.end() || it->second.ended) return;
-  if (auto seg = it->second.segmenter.flush()) {
-    commit(it->second, std::move(*seg), now);
-  }
-  it->second.playlist.end_stream();
-  it->second.ended = true;
+  end_stream(stream, it->second, now);
+  evict_ended();
 }
 
 void SegmentStore::flush_all(TimePoint now) {
   for (auto& [name, st] : streams_) {
-    if (st.ended) continue;
-    if (auto seg = st.segmenter.flush()) commit(st, std::move(*seg), now);
-    st.playlist.end_stream();
-    st.ended = true;
+    if (!st.ended) end_stream(name, st, now);
+  }
+  evict_ended();
+}
+
+void SegmentStore::end_stream(const std::string& name, Stream& st,
+                              TimePoint now) {
+  if (auto seg = st.segmenter.flush()) commit(st, std::move(*seg), now);
+  st.playlist.end_stream();
+  st.ended = true;
+  ended_.push_back(name);
+}
+
+void SegmentStore::evict_ended() {
+  while (ended_.size() > kMaxEndedStreams) {
+    streams_.erase(ended_.front());
+    ended_.pop_front();
   }
 }
 

@@ -3,8 +3,14 @@
 // The store is the sim-side segmenter pipeline behind the HTTP listener:
 // published samples (Annex-B video / ADTS audio, exactly what the
 // MediaOrigin fan-out path carries) run through the same hls::Segmenter
-// the deterministic campaigns use, and completed segments land in an
-// arena-backed window that HTTP responses serve zero-copy.
+// the deterministic campaigns use, and completed segments land in a
+// window of ref-counted slices that HTTP responses serve zero-copy.
+//
+// Ended streams stay servable (ENDLIST playlist plus their retained
+// segments) until kMaxEndedStreams newer ones have ended; the oldest-ended
+// is evicted first, so a peer publishing under fresh keys one after
+// another cannot grow the store without bound. Re-publishing an ended key
+// that is still held revives it.
 //
 // Torn-segment freedom is structural: only whole segments returned by
 // Segmenter::push()/flush() are ever committed to the window — a shutdown
@@ -14,6 +20,7 @@
 // GatewayLifecycle.MidPublishShutdownLeavesNoTornSegment).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -24,7 +31,6 @@
 #include "hls/segmenter.h"
 #include "media/types.h"
 #include "obs/metrics.h"
-#include "util/buffer.h"
 #include "util/units.h"
 
 namespace psc::gateway {
@@ -41,10 +47,11 @@ struct SegmentStoreConfig {
 
 class SegmentStore {
  public:
+  /// Ended streams kept servable; beyond this the oldest-ended goes.
+  static constexpr std::size_t kMaxEndedStreams = 64;
+
   explicit SegmentStore(const SegmentStoreConfig& cfg) : cfg_(cfg) {}
 
-  /// Arena backing segment buffers (nullptr = plain heap).
-  void set_arena(util::BufferArena* arena) { arena_ = arena; }
   /// Metric sink (nullptr = off).
   void set_metrics(obs::Registry* reg);
 
@@ -88,10 +95,16 @@ class SegmentStore {
 
  private:
   void commit(Stream& st, hls::Segment seg, TimePoint now);
+  /// Flush the open partial segment, mark the playlist ENDLIST and queue
+  /// the stream for eviction.
+  void end_stream(const std::string& name, Stream& st, TimePoint now);
+  /// Drop the oldest-ended streams beyond kMaxEndedStreams.
+  void evict_ended();
 
   SegmentStoreConfig cfg_;
-  util::BufferArena* arena_ = nullptr;
   std::map<std::string, Stream> streams_;
+  /// Names of ended streams, oldest-ended first.
+  std::deque<std::string> ended_;
   std::uint64_t segments_stored_ = 0;
   obs::Counter* segments_total_ = nullptr;
   obs::Counter* publishes_total_ = nullptr;

@@ -55,6 +55,8 @@ class LivePlaylistWindow {
 
   void add_segment(std::string uri, Duration duration);
   void end_stream() { ended_ = true; }
+  /// The stream resumed (publisher came back): drop ENDLIST again.
+  void reopen() { ended_ = false; }
 
   MediaPlaylist snapshot() const;
   std::uint64_t next_sequence() const { return next_seq_; }

@@ -5,11 +5,6 @@ namespace psc::hls {
 Segmenter::Segmenter(Duration target) : target_(target) {}
 
 void Segmenter::open_segment(const media::MediaSample& first) {
-  if (arena_ != nullptr && current_.size() == 0) {
-    // Back the writer with a pooled buffer: once the previous segment's
-    // last reference drops, its storage cycles back through the arena.
-    current_ = ByteWriter(arena_->obtain(0));
-  }
   muxer_.psi_into(current_);
   open_ = true;
   seg_start_dts_ = first.dts;
@@ -21,8 +16,7 @@ Segment Segmenter::close_segment(Duration end_dts) {
   seg.sequence = next_seq_++;
   seg.start_dts = seg_start_dts_;
   seg.duration = end_dts - seg_start_dts_;
-  seg.ts_data = arena_ != nullptr ? arena_->adopt(current_.take())
-                                  : util::BufferSlice(current_.take());
+  seg.ts_data = current_.take();
   open_ = false;
   return seg;
 }

@@ -38,10 +38,6 @@ class Segmenter {
   /// Flush the final partial segment at end of stream.
   std::optional<Segment> flush();
 
-  /// Optional arena: completed segments adopt their buffer into it so
-  /// the block is pooled for reuse once the last reference drops.
-  void set_arena(util::BufferArena* arena) { arena_ = arena; }
-
   /// Drop the open partial segment and its buffer (retirement path).
   void discard() {
     current_ = ByteWriter{};
@@ -55,7 +51,6 @@ class Segmenter {
   Segment close_segment(Duration end_dts);
 
   Duration target_;
-  util::BufferArena* arena_ = nullptr;
   mpegts::TsMuxer muxer_;
   ByteWriter current_;
   bool open_ = false;

@@ -57,13 +57,11 @@ LiveBroadcastPipeline::LiveBroadcastPipeline(sim::Simulation& sim,
       cfg_.source_nominal_bandwidth_bps;
   source_rendition.is_source = true;
   source_rendition.segmenter = hls::Segmenter(cfg_.segment_target);
-  source_rendition.segmenter.set_arena(cfg_.arena);
   renditions_.push_back(std::move(source_rendition));
   for (const RenditionSpec& spec : cfg_.transcode_ladder) {
     RenditionState r;
     r.spec = spec;
     r.segmenter = hls::Segmenter(cfg_.segment_target);
-    r.segmenter.set_arena(cfg_.arena);
     renditions_.push_back(std::move(r));
   }
 }

@@ -61,10 +61,6 @@ struct PipelineConfig {
   std::vector<RenditionSpec> transcode_ladder;
   /// BANDWIDTH the master playlist advertises for the source rendition.
   double source_nominal_bandwidth_bps = 400e3;
-  /// Arena backing the packaged segments (nullptr = plain heap). Owned by
-  /// the caller (Study owns one per campaign shard) and must outlive the
-  /// pipeline and every capture/response still holding a segment slice.
-  util::BufferArena* arena = nullptr;
 };
 
 class LiveBroadcastPipeline {

@@ -30,9 +30,6 @@ inline std::string to_string(BytesView b) {
 class ByteWriter {
  public:
   ByteWriter() = default;
-  /// Start from an existing (cleared) buffer — lets arena-pooled storage
-  /// back the writer so refilling it allocates nothing.
-  explicit ByteWriter(Bytes initial) : buf_(std::move(initial)) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16be(std::uint16_t v) {

@@ -1,5 +1,5 @@
-// util::BufferSlice / util::BufferArena: ownership, aliasing and pool
-// recycling semantics the zero-copy media path depends on.
+// util::BufferSlice: ownership, aliasing and cross-thread release
+// semantics the zero-copy media path depends on.
 #include "util/buffer.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 namespace psc {
 namespace {
 
-using util::BufferArena;
 using util::BufferSlice;
 
 Bytes seq_bytes(std::size_t n, std::uint8_t base = 0) {
@@ -71,86 +70,32 @@ TEST(BufferSlice, CopyOfDetachesFromSource) {
   EXPECT_EQ(s[0], 0);  // deep copy: source mutation invisible
 }
 
-TEST(BufferArena, BufferRecyclesAfterLastRefDrops) {
-  BufferArena arena;
-  {
-    Bytes b = arena.obtain(512);
-    b.resize(512);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      b[i] = static_cast<std::uint8_t>(i);
-    }
-    BufferSlice s1 = arena.adopt(std::move(b));
-    BufferSlice s2 = s1;
-    EXPECT_EQ(arena.stats().outstanding, 1u);
-    s1.reset();
-    EXPECT_EQ(arena.stats().outstanding, 1u);  // s2 still holds it
-    s2.reset();
-  }
-  EXPECT_EQ(arena.stats().outstanding, 0u);
-  EXPECT_EQ(arena.stats().blocks_released, 1u);
-
-  // Next obtain/adopt must hit both pools, not the allocator.
-  const auto before = arena.stats();
-  Bytes again = arena.obtain(16);
-  BufferSlice s3 = arena.adopt(std::move(again));
-  const auto after = arena.stats();
-  EXPECT_EQ(after.buffers_allocated, before.buffers_allocated);
-  EXPECT_EQ(after.blocks_allocated, before.blocks_allocated);
-  EXPECT_EQ(after.buffers_reused, before.buffers_reused + 1);
-  EXPECT_EQ(after.blocks_reused, before.blocks_reused + 1);
-}
-
-TEST(BufferArena, SteadyStateLoopAllocatesOnce) {
-  BufferArena arena;
-  // Segmenter-style loop: obtain, fill, adopt, ship, drop — the second
-  // and later iterations must be allocation-free.
-  for (int i = 0; i < 50; ++i) {
-    Bytes b = arena.obtain(0);
-    EXPECT_TRUE(b.empty());  // pooled buffers come back cleared
-    b.resize(1024, static_cast<std::uint8_t>(i));
-    BufferSlice seg = arena.adopt(std::move(b));
-    EXPECT_EQ(seg.size(), 1024u);
-    EXPECT_EQ(seg[0], static_cast<std::uint8_t>(i));
-  }
-  EXPECT_EQ(arena.stats().buffers_allocated, 1u);
-  EXPECT_EQ(arena.stats().blocks_allocated, 1u);
-  EXPECT_EQ(arena.stats().buffers_reused, 49u);
-  EXPECT_EQ(arena.stats().slices_adopted, 50u);
-}
-
-TEST(BufferArena, AliasedSubslicesHoldTheBlockAcrossArenaDeath) {
-  BufferSlice tail;
-  {
-    BufferArena arena;
-    BufferSlice seg = arena.adopt(seq_bytes(64));
-    tail = seg.subslice(32, 32);
-  }
-  // The arena is gone; the slice must still read valid data and release
-  // cleanly through the allocator fallback.
-  EXPECT_EQ(tail.size(), 32u);
-  EXPECT_EQ(tail[0], 32);
-  tail.reset();
-}
-
-TEST(BufferArena, CrossThreadReleaseIsSafe) {
-  BufferArena arena;
-  // Shard handoff shape: slices created on one thread, dropped on others.
+TEST(BufferSlice, CrossThreadReleaseIsSafe) {
+  // Shard handoff shape: slices created on one thread, retained and
+  // released concurrently on four others. The creating thread lets go
+  // first, so the last reference to most blocks drops on a worker.
   std::vector<BufferSlice> shared;
-  for (int i = 0; i < 8; ++i) shared.push_back(arena.adopt(seq_bytes(128)));
+  for (int i = 0; i < 8; ++i) {
+    shared.push_back(seq_bytes(128, static_cast<std::uint8_t>(i)));
+  }
+  const BufferSlice witness = shared[0].subslice(0, 1);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&shared, t] {
-      for (std::size_t i = t; i < shared.size(); i += 4) {
-        BufferSlice local = shared[i];  // retain
-        EXPECT_EQ(local.size(), 128u);
-        local.reset();
+    threads.emplace_back([held = shared]() mutable {
+      for (int round = 0; round < 100; ++round) {
+        for (std::size_t i = 0; i < held.size(); ++i) {
+          BufferSlice local = held[i];  // retain
+          EXPECT_EQ(local.size(), 128u);
+          EXPECT_EQ(local[127], static_cast<std::uint8_t>(i + 127));
+        }
       }
+      held.clear();
     });
   }
-  for (auto& th : threads) th.join();
   shared.clear();
-  EXPECT_EQ(arena.stats().outstanding, 0u);
-  EXPECT_GE(arena.stats().slice_retains, 8u);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(witness.use_count(), 1u);  // every retain was released
+  EXPECT_EQ(witness[0], 0);
 }
 
 TEST(BufferSlice, EqualityComparesContents) {

@@ -12,8 +12,10 @@
 
 #include "gateway/clients.h"
 #include "gateway/gateway.h"
+#include "gateway/segment_store.h"
 #include "hls/playlist.h"
 #include "json/json.h"
+#include "util/strings.h"
 
 namespace psc {
 namespace {
@@ -290,6 +292,59 @@ TEST(GatewayLifecycle, ShutdownDrainsViewersCleanly) {
     gw.poll_once(0);
   }
   EXPECT_TRUE(gw.drained());
+}
+
+// A peer publishing under fresh keys one after another must not grow the
+// store without bound: beyond 64 ended streams (SegmentStore::
+// kMaxEndedStreams) the oldest-ended is evicted, the newest ones keep
+// serving, and re-publishing a held key revives it.
+TEST(GatewaySegmentStore, EndedStreamsStayBounded) {
+  gateway::SegmentStore store(gateway::SegmentStoreConfig{});
+  const gateway::SyntheticMedia media = gateway::synthetic_frames(5, 40);
+  auto key = [](int i) { return strf("fresh%03d", i); };
+  auto cycle = [&](const std::string& k, int i) {
+    const TimePoint t = time_at(i);
+    store.on_publish_start(k, t);
+    for (const auto& s : media.samples) store.on_sample(k, s, t);
+    store.on_publish_end(k, t);
+  };
+  for (int i = 0; i < 200; ++i) {
+    cycle(key(i), i);
+    ASSERT_LE(store.stream_names().size(), 64u) << "after cycle " << i;
+  }
+  EXPECT_EQ(store.stream_names().size(), 64u);
+  EXPECT_EQ(store.find_stream(key(135)), nullptr);
+  ASSERT_NE(store.find_stream(key(136)), nullptr);
+
+  const gateway::SegmentStore::Stream* newest = store.find_stream(key(199));
+  ASSERT_NE(newest, nullptr);
+  EXPECT_TRUE(newest->ended);
+  auto playlist = hls::parse_m3u8(store.media_playlist(key(199)));
+  ASSERT_TRUE(playlist.ok());
+  EXPECT_TRUE(playlist.value().ended);
+  ASSERT_FALSE(playlist.value().segments.empty());
+  const gateway::SegmentStore::StoredSegment* seg =
+      store.find_segment(key(199), playlist.value().segments[0].uri);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_GT(seg->segment.ts_data.size(), 0u);
+  EXPECT_EQ(seg->segment.ts_data.size() % 188, 0u);
+  EXPECT_EQ(seg->segment.ts_data[0], 0x47);
+
+  // Re-publishing the oldest held key revives it: it is live again, so
+  // the next fresh stream to end evicts nothing...
+  store.on_publish_start(key(136), time_at(300));
+  EXPECT_FALSE(store.find_stream(key(136))->ended);
+  auto revived = hls::parse_m3u8(store.media_playlist(key(136)));
+  ASSERT_TRUE(revived.ok());
+  EXPECT_FALSE(revived.value().ended);  // no stale ENDLIST
+  cycle(key(200), 301);
+  EXPECT_EQ(store.stream_names().size(), 65u);
+  // ...and once it ends again it is the newest-ended, so the next oldest
+  // goes instead.
+  store.on_publish_end(key(136), time_at(302));
+  EXPECT_EQ(store.stream_names().size(), 64u);
+  EXPECT_NE(store.find_stream(key(136)), nullptr);
+  EXPECT_EQ(store.find_stream(key(137)), nullptr);
 }
 
 }  // namespace

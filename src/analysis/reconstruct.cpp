@@ -173,7 +173,7 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
     }
     for (const rtmp::Message& msg : reader.take_messages()) {
       if (msg.type == rtmp::MessageType::Video) {
-        auto tag = flv::parse_video_tag(msg.payload);
+        auto tag = flv::parse_video_tag_view(msg.payload);
         if (!tag) continue;
         if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
           auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -193,7 +193,7 @@ Result<StreamAnalysis> reconstruct_rtmp(const net::Capture& cap) {
         analyze_access_unit(nals.value(), state, pts, pkt.time,
                             msg.payload.size(), out);
       } else if (msg.type == rtmp::MessageType::Audio) {
-        auto tag = flv::parse_audio_tag(msg.payload);
+        auto tag = flv::parse_audio_tag_view(msg.payload);
         if (!tag) continue;
         note_adts(tag.value().data, out, &audio_bytes);
       }

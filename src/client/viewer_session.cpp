@@ -527,24 +527,26 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
       return;
     }
     const auto* es = pipe_.find_segment(uri);
-    edge_link.send(resp.serialize(),
-                   [this, es, rendition, fetch_start, fid,
-                    edge_idx](TimePoint, util::BufferSlice data) {
+    // Pacing-only: the response crosses both links at its serialized
+    // size, and its body is the edge's segment slice itself, so nothing
+    // copies the segment per GET.
+    const std::size_t wire_size = resp.head().size() + resp.body.size();
+    edge_link.send(wire_size,
+                   [this, es, rendition, fetch_start, fid, edge_idx,
+                    wire_size](TimePoint, util::BufferSlice) {
       device_.downlink().send(
-          std::move(data),
-          [this, es, rendition, fetch_start, fid,
-           edge_idx](TimePoint t2, util::BufferSlice d) {
+          wire_size,
+          [this, es, rendition, fetch_start, fid, edge_idx,
+           wire_size](TimePoint t2, util::BufferSlice) {
             if (live_fetches_.count(fid) == 0) return;  // timed out
             settle_fetch(fid);
             --in_flight_;
             consecutive_failures_ = 0;
             if (finished_ || es == nullptr) return;
-            auto parsed = http::Response::parse_slice(d);
-            if (!parsed || parsed.value().status != 200) return;
             const double dl_s = to_s(t2 - fetch_start);
             if (dl_s > 1e-6) {
               const double thr =
-                  static_cast<double>(d.size()) * 8.0 / dl_s;
+                  static_cast<double>(wire_size) * 8.0 / dl_s;
               throughput_est_bps_ = throughput_est_bps_ <= 0
                                         ? thr
                                         : 0.7 * throughput_est_bps_ +
@@ -559,9 +561,7 @@ void HlsViewerSession::issue_fetch(std::uint64_t seq, std::size_t rendition,
               obs_->log.log(obs::EventKind::FetchOutcome, to_s(t2), 200,
                             edge_idx);
             }
-            // Isolate the GET response body — "saving the response of
-            // HTTP GET request which contains an MPEG-TS file" (§2).
-            on_segment(t2, *es, std::move(parsed.value().body));
+            on_segment(t2, *es);
           });
     });
   });
@@ -619,9 +619,10 @@ void HlsViewerSession::handle_fetch_failure(std::uint64_t seq,
 }
 
 void HlsViewerSession::on_segment(
-    TimePoint t, const service::LiveBroadcastPipeline::EdgeSegment& seg,
-    util::BufferSlice body) {
-  capture_.record(t, body);
+    TimePoint t, const service::LiveBroadcastPipeline::EdgeSegment& seg) {
+  // The GET response body is the segment the edge served — "saving the
+  // response of HTTP GET request which contains an MPEG-TS file" (§2).
+  capture_.record(t, seg.segment.ts_data);
   video_frames_ += static_cast<std::uint64_t>(
       std::llround(to_s(seg.segment.duration) * kVideoFps));
   player_->on_media(t, seg.segment.start_dts,

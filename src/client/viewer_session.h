@@ -99,7 +99,14 @@ class ViewerSession {
   virtual void start(Duration watch_time) = 0;
   virtual bool finished() const = 0;
   virtual SessionStats stats() const = 0;
-  virtual const net::Capture& capture() const = 0;
+  /// The tcpdump stand-in: what arrived at the device, when.
+  const net::Capture& capture() const { return capture_; }
+  /// Whether anyone will analyze the capture (the default). Without a
+  /// reader it only counts bytes, so `bytes_received` is unchanged but
+  /// no delivered buffer stays pinned. Call before start().
+  void set_capture_analyzed(bool analyzed) {
+    capture_.keep_packets(analyzed);
+  }
   /// Stop and free bulk buffers (capture trace). The object must outlive
   /// any simulation events still referencing it; they become no-ops.
   virtual void retire() = 0;
@@ -107,6 +114,9 @@ class ViewerSession {
   /// reference this object (poll chains, link deliveries and retry
   /// ladders are all bounded) — destroying it after this point is safe.
   virtual TimePoint safe_destroy_at() const = 0;
+
+ protected:
+  net::Capture capture_;
 };
 
 class RtmpViewerSession : public ViewerSession {
@@ -126,7 +136,6 @@ class RtmpViewerSession : public ViewerSession {
   void start(Duration watch_time) override;
   bool finished() const override { return finished_; }
   SessionStats stats() const override;
-  const net::Capture& capture() const override { return capture_; }
   void retire() override {
     finish();
     capture_.clear();
@@ -161,7 +170,6 @@ class RtmpViewerSession : public ViewerSession {
   const fault::SessionFaults* faults_ = nullptr;
   net::Link up_link_;      // client -> origin
   net::Link origin_link_;  // origin -> device access link
-  net::Capture capture_;
   std::unique_ptr<rtmp::ServerSession> server_;
   std::unique_ptr<rtmp::ClientSession> client_;
   PlayerConfig player_cfg_;
@@ -210,7 +218,6 @@ class HlsViewerSession : public ViewerSession {
   void start(Duration watch_time) override;
   bool finished() const override { return finished_; }
   SessionStats stats() const override;
-  const net::Capture& capture() const override { return capture_; }
   void retire() override {
     finish();
     capture_.clear();
@@ -256,8 +263,7 @@ class HlsViewerSession : public ViewerSession {
   void handle_fetch_failure(std::uint64_t seq, std::size_t rendition,
                             int attempt, int edge_idx);
   void on_segment(TimePoint t, const service::LiveBroadcastPipeline::
-                                   EdgeSegment& seg,
-                  util::BufferSlice body);
+                                   EdgeSegment& seg);
   void give_up();
   void finish();
   /// ABR decision: rendition to fetch next, from the throughput estimate
@@ -276,7 +282,6 @@ class HlsViewerSession : public ViewerSession {
   net::Link edge_a_link_;  // edge A -> device
   net::Link edge_b_link_;  // edge B -> device
   net::Link up_link_;
-  net::Capture capture_;
   PlayerConfig player_cfg_;
   std::optional<Player> player_;
   TimePoint session_start_{};

@@ -315,6 +315,7 @@ std::optional<SessionRecord> Study::run_one_session(client::Device& device,
         obs_ptr());
   }
   if (session_faults_) session->set_faults(&*session_faults_);
+  session->set_capture_analyzed(analyze);
   const TimePoint watch_begin = sim_.now();
   session->start(cfg_.watch_time);
   sim_.run_until(sim_.now() + cfg_.watch_time + seconds(2));

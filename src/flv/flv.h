@@ -28,13 +28,34 @@ constexpr std::uint8_t kSoundFormatAac = 10;
 /// Video tag body: [frame_type|codec] [avc_packet_type] [cts24] [data].
 Bytes make_video_tag(bool keyframe, AvcPacketType pkt_type,
                      std::int32_t composition_time_ms, BytesView data);
+/// The 5 header bytes of a video tag body; the caller appends the data
+/// (an RTMP sender writes header and AVCC into one buffer this way).
+void write_video_tag_header(ByteWriter& out, bool keyframe,
+                            AvcPacketType pkt_type,
+                            std::int32_t composition_time_ms);
 
 /// The AVC sequence-header tag carrying the AVCDecoderConfigurationRecord.
 Bytes make_avc_sequence_header(const media::Sps& sps, const media::Pps& pps);
 
 /// Audio tag body: [format|rate|size|type] [aac_packet_type] [data].
 Bytes make_audio_tag(AacPacketType pkt_type, BytesView data);
+/// The 2 header bytes of an audio tag body; the caller appends the data.
+void write_audio_tag_header(ByteWriter& out, AacPacketType pkt_type);
 
+/// A parsed tag whose data views the parsed body (valid while it is).
+struct VideoTagView {
+  bool keyframe = false;
+  AvcPacketType packet_type = AvcPacketType::Nalu;
+  std::int32_t composition_time_ms = 0;
+  BytesView data;  // AVCC NALs or decoder config
+};
+
+struct AudioTagView {
+  AacPacketType packet_type = AacPacketType::Raw;
+  BytesView data;
+};
+
+/// Owning forms, for callers that keep the data past the body.
 struct VideoTag {
   bool keyframe = false;
   AvcPacketType packet_type = AvcPacketType::Nalu;
@@ -47,6 +68,8 @@ struct AudioTag {
   Bytes data;
 };
 
+Result<VideoTagView> parse_video_tag_view(BytesView body);
+Result<AudioTagView> parse_audio_tag_view(BytesView body);
 Result<VideoTag> parse_video_tag(BytesView body);
 Result<AudioTag> parse_audio_tag(BytesView body);
 

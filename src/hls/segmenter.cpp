@@ -5,6 +5,10 @@ namespace psc::hls {
 Segmenter::Segmenter(Duration target) : target_(target) {}
 
 void Segmenter::open_segment(const media::MediaSample& first) {
+  // Size the buffer from the previous segment (+25 % for a heavier GOP)
+  // so the muxer appends without regrowing and re-copying it; the first
+  // segment grows from empty.
+  current_.reserve(last_size_ + last_size_ / 4);
   muxer_.psi_into(current_);
   open_ = true;
   seg_start_dts_ = first.dts;
@@ -16,6 +20,7 @@ Segment Segmenter::close_segment(Duration end_dts) {
   seg.sequence = next_seq_++;
   seg.start_dts = seg_start_dts_;
   seg.duration = end_dts - seg_start_dts_;
+  last_size_ = current_.size();
   seg.ts_data = current_.take();
   open_ = false;
   return seg;

@@ -58,6 +58,7 @@ class Segmenter {
   Duration last_video_dts_{0};
   Duration frame_period_{1.0 / 30.0};
   std::uint64_t next_seq_ = 0;
+  std::size_t last_size_ = 0;  // bytes of the last closed segment
 };
 
 }  // namespace psc::hls

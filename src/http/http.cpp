@@ -71,12 +71,18 @@ Result<Request> Request::parse(const std::string& text) {
   return req;
 }
 
-Bytes Response::serialize() const {
+std::string Response::head() const {
   std::string head = strf("HTTP/1.1 %d %s\r\n", status, reason.c_str());
   for (const auto& [k, v] : headers) head += k + ": " + v + "\r\n";
   head += strf("Content-Length: %zu\r\n\r\n", body.size());
+  return head;
+}
+
+Bytes Response::serialize() const {
+  const std::string h = head();
   ByteWriter w;
-  w.raw(head);
+  w.reserve(h.size() + body.size());
+  w.raw(h);
   w.raw(body);
   return w.take();
 }
@@ -160,7 +166,7 @@ Response Response::not_found() {
 Status RequestParser::fail(Error e) {
   error_ = e;
   buf_.clear();
-  return std::move(e);
+  return e;
 }
 
 Status RequestParser::push(BytesView data) {

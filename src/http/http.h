@@ -38,6 +38,10 @@ struct Response {
   util::BufferSlice body;
 
   Bytes serialize() const;
+  /// Status line and headers through the blank line: serialize() is
+  /// head() ++ body, so a sender that only paces the response needs
+  /// head().size() + body.size(), not a copy of the body.
+  std::string head() const;
   /// Parse from a view; the body is copied out.
   static Result<Response> parse(BytesView data);
   /// Parse from a delivered slice; the body aliases `data` (zero-copy).

@@ -112,11 +112,13 @@ Result<NalUnit> parse_nal_bytes(BytesView raw) {
   return nal;
 }
 
-/// Start-code scan shared by split_annexb and annexb_to_avcc: fills
-/// (starts, code_pos) with the offset of each NAL's first byte and of its
-/// start code.
-void scan_annexb_start_codes(BytesView data, std::vector<std::size_t>* starts,
-                             std::vector<std::size_t>* code_pos) {
+/// Start-code walk shared by split_annexb and append_annexb_as_avcc:
+/// calls `nal(begin, end)` for each NAL in order, where [begin, end) are
+/// the bytes between two start codes (a 4-byte code's leading zero is
+/// not part of the NAL before it). Streams NAL by NAL, so it keeps no
+/// start-code index. Stops at the first error `nal` returns.
+template <class F>
+Status for_each_annexb_nal(BytesView data, F&& nal) {
   // Hunt for the 0x01 terminator of the 00 00 01 code and check the two
   // bytes before it — the slice filler is ~1/16 zero bytes but only
   // ~1/256 0x01 bytes, so keying the memchr on 0x01 stops 16x less
@@ -124,38 +126,42 @@ void scan_annexb_start_codes(BytesView data, std::vector<std::size_t>* starts,
   // directly after a matched code can never have two zeros before it.
   const std::uint8_t* d = data.data();
   const std::size_t n = data.size();
+  bool found = false;
+  std::size_t start = 0;  // first byte of the current NAL
   for (std::size_t i = 2; i < n;) {
     const void* z = std::memchr(d + i, 0x01, n - i);
     if (z == nullptr) break;
     const std::size_t j =
         static_cast<std::size_t>(static_cast<const std::uint8_t*>(z) - d);
     if (d[j - 1] == 0 && d[j - 2] == 0) {
-      starts->push_back(j + 1);
-      code_pos->push_back(j - 2);
+      if (found) {
+        std::size_t end = j - 2;
+        // A 4-byte start code shows up as a zero byte before the 3-byte
+        // code.
+        if (end > start && d[end - 1] == 0) --end;
+        if (auto s = nal(start, end); !s) return s;
+      }
+      found = true;
+      start = j + 1;
     }
     i = j + 1;
   }
+  if (!found) return make_error("malformed", "no Annex-B start code found");
+  return nal(start, n);
 }
 
 }  // namespace
 
 Result<std::vector<NalUnit>> split_annexb(BytesView data) {
   std::vector<NalUnit> out;
-  // Find 3- or 4-byte start codes.
-  std::vector<std::size_t> starts;  // offset of first NAL byte
-  std::vector<std::size_t> code_pos;
-  scan_annexb_start_codes(data, &starts, &code_pos);
-  if (starts.empty()) {
-    return make_error("malformed", "no Annex-B start code found");
-  }
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    std::size_t end = (k + 1 < starts.size()) ? code_pos[k + 1] : data.size();
-    // A 4-byte start code shows up as a zero byte before the 3-byte code.
-    if (k + 1 < starts.size() && end > starts[k] && data[end - 1] == 0) --end;
-    auto nal = parse_nal_bytes(data.subspan(starts[k], end - starts[k]));
-    if (!nal) return nal.error();
-    out.push_back(std::move(nal).value());
-  }
+  const Status s =
+      for_each_annexb_nal(data, [&](std::size_t begin, std::size_t end) {
+        auto nal = parse_nal_bytes(data.subspan(begin, end - begin));
+        if (!nal) return Status(nal.error());
+        out.push_back(std::move(nal).value());
+        return Status{};
+      });
+  if (!s) return s.error();
   return out;
 }
 
@@ -178,30 +184,17 @@ Bytes avcc_wrap(const std::vector<NalUnit>& nals) {
   return out;
 }
 
-Result<Bytes> annexb_to_avcc(BytesView data) {
-  std::vector<std::size_t> starts;
-  std::vector<std::size_t> code_pos;
-  scan_annexb_start_codes(data, &starts, &code_pos);
-  if (starts.empty()) {
-    return make_error("malformed", "no Annex-B start code found");
-  }
-  Bytes out;
-  out.reserve(data.size() + starts.size());
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    std::size_t end = (k + 1 < starts.size()) ? code_pos[k + 1] : data.size();
-    if (k + 1 < starts.size() && end > starts[k] && data[end - 1] == 0) --end;
-    const std::size_t len = end - starts[k];
-    if (len == 0) return make_error("malformed", "empty NAL");
-    if (data[starts[k]] & 0x80) {
-      return make_error("malformed", "forbidden_zero_bit set");
+Status append_annexb_as_avcc(BytesView data, ByteWriter& out) {
+  out.reserve(data.size() + 16);
+  return for_each_annexb_nal(data, [&](std::size_t begin, std::size_t end) {
+    if (end == begin) return Status(make_error("malformed", "empty NAL"));
+    if (data[begin] & 0x80) {
+      return Status(make_error("malformed", "forbidden_zero_bit set"));
     }
-    out.push_back(static_cast<std::uint8_t>(len >> 24));
-    out.push_back(static_cast<std::uint8_t>(len >> 16));
-    out.push_back(static_cast<std::uint8_t>(len >> 8));
-    out.push_back(static_cast<std::uint8_t>(len));
-    out.insert(out.end(), data.begin() + starts[k], data.begin() + end);
-  }
-  return out;
+    out.u32be(static_cast<std::uint32_t>(end - begin));
+    out.raw(data.subspan(begin, end - begin));
+    return Status{};
+  });
 }
 
 Result<Bytes> avcc_to_annexb(BytesView data) {

@@ -96,7 +96,9 @@ Result<std::vector<NalUnit>> split_avcc(BytesView data);
 /// prevention — NAL payload bytes are copied verbatim. For the canonical
 /// streams this codebase produces the result is byte-identical to
 /// split + wrap; malformed inputs fail with the same error classes.
-Result<Bytes> annexb_to_avcc(BytesView data);
+/// append_annexb_as_avcc appends to `out` (an RTMP sender's reused tag
+/// buffer); on error `out` holds a partial frame the caller discards.
+Status append_annexb_as_avcc(BytesView data, ByteWriter& out);
 Result<Bytes> avcc_to_annexb(BytesView data);
 
 /// AVCDecoderConfigurationRecord carrying the SPS+PPS, as found in the FLV

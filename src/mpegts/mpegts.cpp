@@ -1,6 +1,7 @@
 #include "mpegts/mpegts.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -44,19 +45,22 @@ Result<std::uint64_t> read_pts_field(ByteReader& r) {
 }
 
 void write_psi_packet(ByteWriter& w, std::uint16_t pid, std::uint8_t table_id,
-                      const Bytes& table_body, std::uint8_t cc) {
+                      BytesView table_body, std::uint8_t cc) {
   // section: table_id, section_syntax(1)+len, id, version, section nums,
-  // body, crc32.
-  ByteWriter sec;
-  sec.u8(table_id);
+  // body, crc32. Built on the stack: PSI is written once per segment.
+  std::array<std::uint8_t, kTsPacketSize> sec{};
   const std::size_t section_length = 5 + table_body.size() + 4;
-  sec.u16be(static_cast<std::uint16_t>(0xB000 | (section_length & 0x3FF)));
-  sec.u16be(1);     // transport_stream_id / program_number context
-  sec.u8(0xC1);     // version 0, current_next 1
-  sec.u8(0);        // section_number
-  sec.u8(0);        // last_section_number
-  sec.raw(table_body);
-  const Bytes section = sec.take();
+  assert(8 + table_body.size() <= sec.size());
+  sec[0] = table_id;
+  sec[1] = static_cast<std::uint8_t>(0xB0 | ((section_length >> 8) & 0x03));
+  sec[2] = static_cast<std::uint8_t>(section_length);
+  sec[3] = 0x00;  // transport_stream_id / program_number context = 1
+  sec[4] = 0x01;
+  sec[5] = 0xC1;  // version 0, current_next 1
+  sec[6] = 0;     // section_number
+  sec[7] = 0;     // last_section_number
+  std::copy(table_body.begin(), table_body.end(), sec.begin() + 8);
+  const BytesView section(sec.data(), 8 + table_body.size());
   const std::uint32_t crc = crc32_mpeg(section);
 
   const std::size_t start = w.size();
@@ -68,6 +72,12 @@ void write_psi_packet(ByteWriter& w, std::uint16_t pid, std::uint8_t table_id,
   // Stuff the remainder with 0xFF.
   assert(w.size() - start <= kTsPacketSize);
   w.fill(kTsPacketSize - (w.size() - start), 0xFF);
+}
+
+/// Two big-endian bytes of `v` at `out[0..1]`.
+void put_u16be(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 8);
+  out[1] = static_cast<std::uint8_t>(v);
 }
 
 }  // namespace
@@ -100,22 +110,22 @@ Bytes TsMuxer::psi() {
 
 void TsMuxer::psi_into(ByteWriter& out) {
   // PAT: program 1 -> PMT PID.
-  ByteWriter pat_body;
-  pat_body.u16be(1);  // program_number
-  pat_body.u16be(static_cast<std::uint16_t>(0xE000 | pmt_pid_));
-  write_psi_packet(out, kPatPid, 0x00, pat_body.take(), next_cc(kPatPid));
+  std::array<std::uint8_t, 4> pat{};
+  put_u16be(&pat[0], 1);  // program_number
+  put_u16be(&pat[2], static_cast<std::uint16_t>(0xE000 | pmt_pid_));
+  write_psi_packet(out, kPatPid, 0x00, pat, next_cc(kPatPid));
 
   // PMT: PCR on video PID; AVC video + ADTS audio streams.
-  ByteWriter pmt_body;
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));  // PCR PID
-  pmt_body.u16be(0xF000);  // program_info_length = 0
-  pmt_body.u8(kStreamTypeAvc);
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | video_pid_));
-  pmt_body.u16be(0xF000);  // ES_info_length = 0
-  pmt_body.u8(kStreamTypeAac);
-  pmt_body.u16be(static_cast<std::uint16_t>(0xE000 | audio_pid_));
-  pmt_body.u16be(0xF000);
-  write_psi_packet(out, pmt_pid_, 0x02, pmt_body.take(), next_cc(pmt_pid_));
+  std::array<std::uint8_t, 14> pmt{};
+  put_u16be(&pmt[0], static_cast<std::uint16_t>(0xE000 | video_pid_));  // PCR
+  put_u16be(&pmt[2], 0xF000);  // program_info_length = 0
+  pmt[4] = kStreamTypeAvc;
+  put_u16be(&pmt[5], static_cast<std::uint16_t>(0xE000 | video_pid_));
+  put_u16be(&pmt[7], 0xF000);  // ES_info_length = 0
+  pmt[9] = kStreamTypeAac;
+  put_u16be(&pmt[10], static_cast<std::uint16_t>(0xE000 | audio_pid_));
+  put_u16be(&pmt[12], 0xF000);
+  write_psi_packet(out, pmt_pid_, 0x02, pmt, next_cc(pmt_pid_));
 }
 
 void TsMuxer::pes_header_into(ByteWriter& pes,

@@ -11,6 +11,10 @@
 // payload() flattens the chunks into one contiguous buffer lazily — only
 // the offline analysis paths (RTMP re-dissection, pcap export) pay for
 // that; per-packet consumers use packet_data().
+//
+// A capture nobody will analyze can be told so (keep_packets(false)):
+// it then only counts delivered bytes, holding no packet and no buffer,
+// so an unread trace pins nothing until the session retires.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +35,26 @@ class Capture {
     std::size_t size = 0;
   };
 
+  /// Keep packets and their bytes (the default) or only count bytes.
+  /// Switch before the first record().
+  void keep_packets(bool keep) { keep_packets_ = keep; }
+  bool keeps_packets() const { return keep_packets_; }
+
   /// Record by view: the bytes are copied (callers without a slice).
   void record_copy(TimePoint t, BytesView data) {
+    if (!keep_packets_) {
+      total_ += data.size();
+      return;
+    }
     record(t, util::BufferSlice::copy_of(data));
   }
   /// Record by slice: shares the buffer, no copy (an owning Bytes
   /// converts implicitly).
   void record(TimePoint t, util::BufferSlice data) {
+    if (!keep_packets_) {
+      total_ += data.size();
+      return;
+    }
     packets_.push_back(Packet{t, total_, data.size()});
     total_ += data.size();
     chunks_.push_back(std::move(data));
@@ -79,6 +96,7 @@ class Capture {
   std::vector<Packet> packets_;
   std::vector<util::BufferSlice> chunks_;  // aligned with packets_
   std::uint64_t total_ = 0;
+  bool keep_packets_ = true;
   mutable Bytes payload_;  // lazy flatten cache; valid when size()==total_
 };
 

@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace psc::net {
@@ -85,16 +86,23 @@ void Link::send_sized(util::BufferSlice data, std::size_t size,
 }
 
 void Link::complete(std::uint64_t id) {
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->id != id) continue;
-    // Detach before delivering: `deliver` may re-enter send() on this
-    // same link (the pump chains do).
-    DeliveryFn deliver = std::move(it->deliver);
-    util::BufferSlice data = std::move(it->data);
-    pending_.erase(it);
-    deliver(sim_.now(), std::move(data));
-    return;
+  assert(head_ < pending_.size() && pending_[head_].id == id);
+  (void)id;
+  // Detach before delivering: `deliver` may re-enter send() on this
+  // same link (the pump chains do), which may reallocate pending_.
+  Pending& front = pending_[head_];
+  DeliveryFn deliver = std::move(front.deliver);
+  util::BufferSlice data = std::move(front.data);
+  ++head_;
+  if (head_ == pending_.size()) {
+    pending_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && 2 * head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
+  deliver(sim_.now(), std::move(data));
 }
 
 void Link::set_rate(BitRate rate) {
@@ -115,13 +123,9 @@ void Link::freeze_until(TimePoint until) {
 
 void Link::repace() {
   const TimePoint now = sim_.now();
-  bool any_unfinished = false;
-  for (const Pending& p : pending_) {
-    if (p.end > now) {
-      any_unfinished = true;
-      break;
-    }
-  }
+  // Ends are monotone in send order, so the last transfer decides.
+  const bool any_unfinished =
+      head_ < pending_.size() && pending_.back().end > now;
   // Nothing mid-serialization: future sends pick up the new rate/freeze
   // on their own. Returning early also keeps the noise process draw count
   // identical to the pre-repace kernel when faults are off.
@@ -129,7 +133,8 @@ void Link::repace() {
 
   const BitRate eff = effective_rate();
   TimePoint cursor = std::max(now, frozen_until_);
-  for (Pending& p : pending_) {
+  for (std::size_t i = head_; i < pending_.size(); ++i) {
+    Pending& p = pending_[i];
     if (p.end <= now) continue;  // fully serialized; already on the wire
     // Remaining fraction by time ratio — rate-agnostic within the
     // constant-rate window the entry was last paced for.

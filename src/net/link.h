@@ -12,13 +12,20 @@
 // unserialized tail at the new effective rate instead of applying only to
 // subsequent sends. Bytes already serialized onto the wire still arrive.
 //
+// Transfers complete in send order: each one starts serializing no
+// earlier than the previous one ends, re-pacing keeps that order, and
+// the latency is fixed — so equal arrival times tie-break by schedule
+// order, which is send order too. The pending table is therefore a FIFO
+// that pops its front (Link.FifoHoldsUnderRepacingFaultsAndShaping
+// pins this).
+//
 // An optional throughput-noise process multiplies the nominal rate by a
 // factor redrawn every `noise_period`, standing in for cross-traffic and
 // radio variability on a real phone's path.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/simulation.h"
 #include "util/buffer.h"
@@ -104,6 +111,7 @@ class Link {
   double effective_rate();
   void send_sized(util::BufferSlice data, std::size_t size,
                   DeliveryFn deliver);
+  /// Deliver the front transfer (`id`, checked in debug builds).
   void complete(std::uint64_t id);
   /// Re-serialize every unfinished pending tail from max(now,
   /// frozen_until_) at the current effective rate.
@@ -117,7 +125,12 @@ class Link {
   double fault_factor_ = 1.0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t next_transfer_id_ = 1;
-  std::deque<Pending> pending_;
+  /// In-flight transfers in send order: [head_, size()) are live. The
+  /// consumed prefix is dropped when the queue drains or it outgrows the
+  /// live part, so the vector's capacity is reused instead of a deque
+  /// allocating a node every few sends.
+  std::vector<Pending> pending_;
+  std::size_t head_ = 0;
 
   bool noise_enabled_ = false;
   Rng noise_rng_{0};

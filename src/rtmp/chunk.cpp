@@ -25,16 +25,16 @@ void ChunkWriter::write_basic_header(ByteWriter& out, int fmt,
   }
 }
 
-void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
-                        const Message& msg) {
+void ChunkWriter::write(ByteWriter& out, std::uint32_t csid, MessageType type,
+                        std::uint32_t timestamp_ms, std::uint32_t stream_id,
+                        BytesView payload) {
   auto it = prev_.find(csid);
   int fmt = 0;
   std::uint32_t delta = 0;
-  if (it != prev_.end() && msg.timestamp_ms >= it->second.timestamp &&
-      msg.stream_id == it->second.stream_id) {
-    delta = msg.timestamp_ms - it->second.timestamp;
-    if (msg.payload.size() == it->second.length &&
-        msg.type == it->second.type) {
+  if (it != prev_.end() && timestamp_ms >= it->second.timestamp &&
+      stream_id == it->second.stream_id) {
+    delta = timestamp_ms - it->second.timestamp;
+    if (payload.size() == it->second.length && type == it->second.type) {
       // fmt 3 message starts are legal but interact poorly with extended
       // timestamps across implementations; fmt 2 costs 3 bytes and is
       // unambiguous, so this writer stops there.
@@ -44,25 +44,34 @@ void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
     }
   }
 
-  const std::uint32_t hdr_ts = fmt == 0 ? msg.timestamp_ms : delta;
+  const std::uint32_t hdr_ts = fmt == 0 ? timestamp_ms : delta;
   const bool ext_ts = hdr_ts >= kExtTimestampSentinel;
+
+  // Exact serialized size: one full header, then a fmt-3 basic header
+  // (plus the repeated extended timestamp) per continuation chunk.
+  static constexpr std::size_t kMsgHdrSize[] = {11, 7, 3};
+  const std::size_t chunks =
+      payload.empty() ? 1 : (payload.size() + chunk_size_ - 1) / chunk_size_;
+  const std::size_t per_chunk =
+      basic_header_size(csid) + (ext_ts ? 4 : 0);
+  out.reserve(chunks * per_chunk + kMsgHdrSize[fmt] + payload.size());
 
   std::size_t offset = 0;
   bool first = true;
   do {
     const std::size_t n =
-        std::min<std::size_t>(chunk_size_, msg.payload.size() - offset);
+        std::min<std::size_t>(chunk_size_, payload.size() - offset);
     if (first) {
       write_basic_header(out, fmt, csid);
       if (fmt <= 2) {
         out.u24be(ext_ts ? kExtTimestampSentinel : hdr_ts);
       }
       if (fmt <= 1) {
-        out.u24be(static_cast<std::uint32_t>(msg.payload.size()));
-        out.u8(static_cast<std::uint8_t>(msg.type));
+        out.u24be(static_cast<std::uint32_t>(payload.size()));
+        out.u8(static_cast<std::uint8_t>(type));
       }
       if (fmt == 0) {
-        out.u32le(msg.stream_id);  // message stream id is little-endian
+        out.u32le(stream_id);  // message stream id is little-endian
       }
       if (ext_ts && fmt <= 2) out.u32be(hdr_ts);
       first = false;
@@ -71,15 +80,15 @@ void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
       write_basic_header(out, 3, csid);
       if (ext_ts) out.u32be(hdr_ts);
     }
-    out.raw(BytesView(msg.payload).subspan(offset, n));
+    out.raw(payload.subspan(offset, n));
     offset += n;
-  } while (offset < msg.payload.size());
+  } while (offset < payload.size());
 
   PrevHeader& ph = prev_[csid];
-  ph.timestamp = msg.timestamp_ms;
-  ph.length = static_cast<std::uint32_t>(msg.payload.size());
-  ph.type = msg.type;
-  ph.stream_id = msg.stream_id;
+  ph.timestamp = timestamp_ms;
+  ph.length = static_cast<std::uint32_t>(payload.size());
+  ph.type = type;
+  ph.stream_id = stream_id;
   if (fmt != 0) {
     ph.last_delta = delta;
     ph.has_delta = true;
@@ -89,24 +98,33 @@ void ChunkWriter::write(ByteWriter& out, std::uint32_t csid,
 }
 
 Status ChunkReader::push(BytesView data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  // Parse straight from `data` unless a partial chunk is carried over;
+  // only the unparsed tail is copied into buffer_.
+  const bool carried = !buffer_.empty();
+  if (carried) buffer_.insert(buffer_.end(), data.begin(), data.end());
+  const BytesView input = carried ? BytesView(buffer_) : data;
+  std::size_t used = 0;
+  Status status;
   for (;;) {
-    auto progressed = parse_one();
-    if (!progressed) return progressed.error();
+    auto progressed = parse_one(input, used);
+    if (!progressed) {
+      status = progressed.error();
+      break;
+    }
     if (!progressed.value()) break;
   }
-  // Compact the consumed prefix.
-  if (cursor_ > 0) {
+  if (carried) {
     buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(cursor_));
-    cursor_ = 0;
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(used));
+  } else {
+    buffer_.assign(data.begin() + static_cast<std::ptrdiff_t>(used),
+                   data.end());
   }
-  return {};
+  return status;
 }
 
-Result<bool> ChunkReader::parse_one() {
-  const BytesView buf(buffer_);
-  const BytesView avail = buf.subspan(cursor_);
+Result<bool> ChunkReader::parse_one(BytesView input, std::size_t& used) {
+  const BytesView avail = input.subspan(used);
   if (avail.empty()) return false;
 
   // Basic header.
@@ -205,10 +223,17 @@ Result<bool> ChunkReader::parse_one() {
       st.timestamp += delta;
     }
   }
+  if (!continuation && want < length) {
+    // A message spanning several chunks: size its buffer once from the
+    // bytes at hand (the whole message, when it arrived in one piece),
+    // never from the claimed length alone — a peer's header must not
+    // reserve memory its bytes have not paid for.
+    st.assembly.reserve(std::min<std::size_t>(length, avail.size() - pos));
+  }
   st.assembly.insert(st.assembly.end(), avail.begin() + pos,
                      avail.begin() + pos + want);
   pos += want;
-  cursor_ += pos;
+  used += pos;
   consumed_ += pos;
 
   if (st.assembly.size() == st.length) {

@@ -29,7 +29,15 @@ class ChunkWriter {
       : chunk_size_(chunk_size) {}
 
   /// Serialise one message onto `out`.
-  void write(ByteWriter& out, std::uint32_t csid, const Message& msg);
+  void write(ByteWriter& out, std::uint32_t csid, const Message& msg) {
+    write(out, csid, msg.type, msg.timestamp_ms, msg.stream_id, msg.payload);
+  }
+  /// Same, from the header fields and a payload view: senders that build
+  /// the payload in a reused buffer need no Message. `out` grows once,
+  /// by the exact serialized size.
+  void write(ByteWriter& out, std::uint32_t csid, MessageType type,
+             std::uint32_t timestamp_ms, std::uint32_t stream_id,
+             BytesView payload);
 
   /// Change the outgoing chunk size (the caller must also send a
   /// SetChunkSize control message). Clamped to the spec's valid range
@@ -51,6 +59,9 @@ class ChunkWriter {
   };
 
   void write_basic_header(ByteWriter& out, int fmt, std::uint32_t csid) const;
+  static std::size_t basic_header_size(std::uint32_t csid) {
+    return csid <= 63 ? 1 : csid <= 319 ? 2 : 3;
+  }
 
   std::uint32_t chunk_size_;
   std::map<std::uint32_t, PrevHeader> prev_;
@@ -67,6 +78,11 @@ class ChunkReader {
 
   /// Messages completed so far, in arrival order (moves them out).
   std::vector<Message> take_messages();
+  /// The same queue in place, for consumers that handle each message and
+  /// then clear_messages(): the queue keeps its capacity across pushes.
+  /// A handler must not push() into this reader while iterating.
+  std::vector<Message>& messages() { return messages_; }
+  void clear_messages() { messages_.clear(); }
 
   std::uint32_t chunk_size() const { return chunk_size_; }
   std::uint64_t bytes_consumed() const { return consumed_; }
@@ -74,9 +90,8 @@ class ChunkReader {
   /// Release all internal buffers (retirement path).
   void discard() {
     Bytes{}.swap(buffer_);
-    cursor_ = 0;
     streams_.clear();
-    messages_.clear();
+    std::vector<Message>{}.swap(messages_);
   }
 
  private:
@@ -90,12 +105,14 @@ class ChunkReader {
     Bytes assembly;
   };
 
-  /// Try to parse one chunk from buffer_[cursor_...]. Returns false if
-  /// more bytes are needed (cursor_ unchanged).
-  Result<bool> parse_one();
+  /// Try to parse one chunk from input[used...]; on success advances
+  /// `used` past it. Returns false if more bytes are needed (`used`
+  /// unchanged).
+  Result<bool> parse_one(BytesView input, std::size_t& used);
 
+  /// Bytes of a partial chunk carried over to the next push(). Input
+  /// that holds whole chunks is parsed in place and never lands here.
   Bytes buffer_;
-  std::size_t cursor_ = 0;
   std::uint32_t chunk_size_ = kDefaultChunkSize;
   std::map<std::uint32_t, StreamState> streams_;
   std::vector<Message> messages_;

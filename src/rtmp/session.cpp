@@ -21,6 +21,46 @@ std::uint32_t ms_from(Duration d) {
   return ms <= 0 ? 0 : static_cast<std::uint32_t>(std::llround(ms));
 }
 
+/// Writes the FLV tag body of one sample into `tag` (emptied first, its
+/// capacity kept): the tag header, then AVCC-reframed video or the ADTS
+/// audio. False if the video is not valid Annex-B.
+bool write_media_tag(const media::MediaSample& sample, ByteWriter& tag) {
+  tag.clear();
+  if (sample.kind != media::SampleKind::Video) {
+    tag.reserve(2 + sample.data.size());
+    flv::write_audio_tag_header(tag, flv::AacPacketType::Raw);
+    tag.raw(sample.data);
+    return true;
+  }
+  const auto cts = static_cast<std::int32_t>(
+      std::llround(to_ms(sample.pts - sample.dts)));
+  flv::write_video_tag_header(tag, sample.keyframe, flv::AvcPacketType::Nalu,
+                              cts);
+  return media::append_annexb_as_avcc(sample.data, tag).ok();
+}
+
+/// RTMP message type and chunk stream that carry a sample of its kind.
+MessageType media_type(const media::MediaSample& sample) {
+  return sample.kind == media::SampleKind::Video ? MessageType::Video
+                                                 : MessageType::Audio;
+}
+std::uint32_t media_csid(const media::MediaSample& sample) {
+  return sample.kind == media::SampleKind::Video ? kCsidVideo : kCsidAudio;
+}
+
+/// Turns a parsed FLV media message into a sample without copying its
+/// data: the message payload becomes the sample's buffer and the tag
+/// header in front of `data` (a view into that payload) is shifted out.
+media::MediaSample sample_from_tag(Message& msg, BytesView data) {
+  const auto header = static_cast<std::ptrdiff_t>(msg.payload.size() -
+                                                   data.size());
+  media::MediaSample s;
+  s.dts = millis(msg.timestamp_ms);
+  s.data = std::move(msg.payload);
+  s.data.erase(s.data.begin(), s.data.begin() + header);
+  return s;
+}
+
 }  // namespace
 
 // ---------------- ServerSession ----------------
@@ -29,13 +69,8 @@ ServerSession::ServerSession(std::uint64_t seed) : seed_(seed) {}
 
 void ServerSession::send_message(std::uint32_t csid, MessageType type,
                                  std::uint32_t timestamp_ms,
-                                 std::uint32_t stream_id, Bytes payload) {
-  Message msg;
-  msg.type = type;
-  msg.timestamp_ms = timestamp_ms;
-  msg.stream_id = stream_id;
-  msg.payload = std::move(payload);
-  writer_.write(out_, csid, msg);
+                                 std::uint32_t stream_id, BytesView payload) {
+  writer_.write(out_, csid, type, timestamp_ms, stream_id, payload);
 }
 
 Status ServerSession::on_input(BytesView data) {
@@ -71,7 +106,7 @@ Status ServerSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) {
+  for (Message& m : reader_.messages()) {
     if (m.type == MessageType::CommandAmf0) {
       handle_command(m);
     } else if (m.type == MessageType::Video ||
@@ -80,13 +115,14 @@ Status ServerSession::on_input(BytesView data) {
     }
     // Acknowledgement / UserControl from the client are accepted silently.
   }
+  reader_.clear_messages();
   return {};
 }
 
-void ServerSession::handle_published_media(const Message& msg) {
+void ServerSession::handle_published_media(Message& msg) {
   if (!publishing_) return;
   if (msg.type == MessageType::Video) {
-    auto tag = flv::parse_video_tag(msg.payload);
+    auto tag = flv::parse_video_tag_view(msg.payload);
     if (!tag) return;
     if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
       auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -96,25 +132,21 @@ void ServerSession::handle_published_media(const Message& msg) {
       return;
     }
     if (publish_cbs_.on_sample) {
-      media::MediaSample s;
+      media::MediaSample s = sample_from_tag(msg, tag.value().data);
       s.kind = media::SampleKind::Video;
-      s.dts = millis(msg.timestamp_ms);
       s.pts = millis(static_cast<double>(msg.timestamp_ms) +
                      tag.value().composition_time_ms);
       s.keyframe = tag.value().keyframe;
-      s.data = std::move(tag.value().data);
       publish_cbs_.on_sample(std::move(s));
     }
   } else {
-    auto tag = flv::parse_audio_tag(msg.payload);
+    auto tag = flv::parse_audio_tag_view(msg.payload);
     if (!tag || tag.value().packet_type != flv::AacPacketType::Raw) return;
     if (publish_cbs_.on_sample) {
-      media::MediaSample s;
+      media::MediaSample s = sample_from_tag(msg, tag.value().data);
       s.kind = media::SampleKind::Audio;
-      s.dts = millis(msg.timestamp_ms);
       s.pts = s.dts;
       s.keyframe = true;
-      s.data = std::move(tag.value().data);
       publish_cbs_.on_sample(std::move(s));
     }
   }
@@ -206,22 +238,12 @@ void ServerSession::send_avc_config(const media::Sps& sps,
 }
 
 void ServerSession::send_sample(const media::MediaSample& sample) {
-  if (sample.kind == media::SampleKind::Video) {
-    // Direct re-frame (no NAL materialisation): this runs once per sample
-    // per attached player.
-    auto avcc = media::annexb_to_avcc(sample.data);
-    if (!avcc) return;
-    const auto cts = static_cast<std::int32_t>(
-        std::llround(to_ms(sample.pts - sample.dts)));
-    send_message(kCsidVideo, MessageType::Video, ms_from(sample.dts),
-                 kMediaStreamId,
-                 flv::make_video_tag(sample.keyframe, flv::AvcPacketType::Nalu,
-                                     cts, avcc.value()));
-  } else {
-    send_message(kCsidAudio, MessageType::Audio, ms_from(sample.dts),
-                 kMediaStreamId,
-                 flv::make_audio_tag(flv::AacPacketType::Raw, sample.data));
-  }
+  // The tag header and the AVCC re-frame go straight into one reused
+  // buffer, which the chunk writer copies onto the wire: this runs once
+  // per sample per attached player.
+  if (!write_media_tag(sample, tag_)) return;
+  writer_.write(out_, media_csid(sample), media_type(sample),
+                ms_from(sample.dts), kMediaStreamId, tag_.bytes());
 }
 
 Bytes ServerSession::take_output() {
@@ -286,11 +308,12 @@ Status ClientSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) handle_message(m);
+  for (Message& m : reader_.messages()) handle_message(m);
+  reader_.clear_messages();
   return {};
 }
 
-void ClientSession::handle_message(const Message& msg) {
+void ClientSession::handle_message(Message& msg) {
   switch (msg.type) {
     case MessageType::CommandAmf0: {
       auto values = amf::decode_all(msg.payload);
@@ -316,7 +339,7 @@ void ClientSession::handle_message(const Message& msg) {
       break;
     }
     case MessageType::Video: {
-      auto tag = flv::parse_video_tag(msg.payload);
+      auto tag = flv::parse_video_tag_view(msg.payload);
       if (!tag) return;
       if (tag.value().packet_type == flv::AvcPacketType::SequenceHeader) {
         auto cfg = media::parse_avc_decoder_config(tag.value().data);
@@ -324,28 +347,24 @@ void ClientSession::handle_message(const Message& msg) {
         return;
       }
       if (cb_.on_sample) {
-        media::MediaSample s;
+        media::MediaSample s = sample_from_tag(msg, tag.value().data);
         s.kind = media::SampleKind::Video;
-        s.dts = millis(msg.timestamp_ms);
         s.pts = millis(static_cast<double>(msg.timestamp_ms) +
                        tag.value().composition_time_ms);
         s.keyframe = tag.value().keyframe;
-        s.data = std::move(tag.value().data);
         cb_.on_sample(std::move(s));
       }
       break;
     }
     case MessageType::Audio: {
-      auto tag = flv::parse_audio_tag(msg.payload);
+      auto tag = flv::parse_audio_tag_view(msg.payload);
       if (!tag) return;
       if (tag.value().packet_type != flv::AacPacketType::Raw) return;
       if (cb_.on_sample) {
-        media::MediaSample s;
+        media::MediaSample s = sample_from_tag(msg, tag.value().data);
         s.kind = media::SampleKind::Audio;
-        s.dts = millis(msg.timestamp_ms);
         s.pts = s.dts;
         s.keyframe = true;
-        s.data = std::move(tag.value().data);
         cb_.on_sample(std::move(s));
       }
       break;
@@ -407,7 +426,8 @@ Status PublisherSession::on_input(BytesView data) {
   } else {
     if (auto s = reader_.push(data); !s) return s;
   }
-  for (Message& m : reader_.take_messages()) handle_message(m);
+  for (const Message& m : reader_.messages()) handle_message(m);
+  reader_.clear_messages();
   return {};
 }
 
@@ -438,36 +458,16 @@ void PublisherSession::handle_message(const Message& msg) {
   }
 }
 
-void PublisherSession::send_media(std::uint32_t csid, MessageType type,
-                                  std::uint32_t timestamp_ms,
-                                  Bytes payload) {
-  Message msg;
-  msg.type = type;
-  msg.timestamp_ms = timestamp_ms;
-  msg.stream_id = media_stream_id_;
-  msg.payload = std::move(payload);
-  writer_.write(out_, csid, msg);
-}
-
 void PublisherSession::send_avc_config(const media::Sps& sps,
                                        const media::Pps& pps) {
-  send_media(kCsidVideo, MessageType::Video, 0,
-             flv::make_avc_sequence_header(sps, pps));
+  writer_.write(out_, kCsidVideo, MessageType::Video, 0, media_stream_id_,
+                flv::make_avc_sequence_header(sps, pps));
 }
 
 void PublisherSession::send_sample(const media::MediaSample& sample) {
-  if (sample.kind == media::SampleKind::Video) {
-    auto avcc = media::annexb_to_avcc(sample.data);
-    if (!avcc) return;
-    const auto cts = static_cast<std::int32_t>(
-        std::llround(to_ms(sample.pts - sample.dts)));
-    send_media(kCsidVideo, MessageType::Video, ms_from(sample.dts),
-               flv::make_video_tag(sample.keyframe, flv::AvcPacketType::Nalu,
-                                   cts, avcc.value()));
-  } else {
-    send_media(kCsidAudio, MessageType::Audio, ms_from(sample.dts),
-               flv::make_audio_tag(flv::AacPacketType::Raw, sample.data));
-  }
+  if (!write_media_tag(sample, tag_)) return;
+  writer_.write(out_, media_csid(sample), media_type(sample),
+                ms_from(sample.dts), media_stream_id_, tag_.bytes());
 }
 
 Bytes PublisherSession::take_output() { return out_.take(); }

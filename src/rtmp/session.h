@@ -68,6 +68,7 @@ class ServerSession {
   /// usefulness only to keep late simulation callbacks safe).
   void discard_buffers() {
     out_ = ByteWriter{};
+    tag_ = ByteWriter{};
     Bytes{}.swap(inbuf_);
     Bytes{}.swap(my_blob_);
     reader_.discard();
@@ -77,10 +78,11 @@ class ServerSession {
   enum class State { WaitHello, WaitEcho, Command };
 
   void handle_command(const Message& msg);
-  void handle_published_media(const Message& msg);
+  /// Takes the payload of `msg` as the sample's buffer.
+  void handle_published_media(Message& msg);
   void send_message(std::uint32_t csid, MessageType type,
                     std::uint32_t timestamp_ms, std::uint32_t stream_id,
-                    Bytes payload);
+                    BytesView payload);
 
   State state_ = State::WaitHello;
   Bytes inbuf_;  // handshake buffering
@@ -88,6 +90,7 @@ class ServerSession {
   ChunkReader reader_;
   ChunkWriter writer_;
   ByteWriter out_;
+  ByteWriter tag_;  // FLV tag body of the sample being sent; reused
   std::uint64_t seed_;
   bool playing_ = false;
   bool publishing_ = false;
@@ -122,8 +125,6 @@ class PublisherSession {
 
   void handle_message(const Message& msg);
   void send_command(std::vector<amf::Value> values);
-  void send_media(std::uint32_t csid, MessageType type,
-                  std::uint32_t timestamp_ms, Bytes payload);
 
   State state_ = State::WaitHello;
   Bytes inbuf_;
@@ -131,6 +132,7 @@ class PublisherSession {
   ChunkReader reader_;
   ChunkWriter writer_;
   ByteWriter out_;
+  ByteWriter tag_;  // FLV tag body of the sample being sent; reused
   std::string app_;
   std::string stream_key_;
   bool publishing_ = false;
@@ -172,7 +174,8 @@ class ClientSession {
   enum class State { WaitHello, WaitEcho, Connecting, CreatingStream,
                      Playing };
 
-  void handle_message(const Message& msg);
+  /// Takes the payload of a media `msg` as the sample's buffer.
+  void handle_message(Message& msg);
   void send_command(std::vector<amf::Value> values);
 
   State state_ = State::WaitHello;

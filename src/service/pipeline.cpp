@@ -159,9 +159,6 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
       --backlog_keyframes_;
     }
   }
-  if (backlog_keyframes_ > 0) backlog_.push_back(sample);
-  static constexpr std::size_t kBacklogCap = 1024;
-  while (backlog_.size() > kBacklogCap) backlog_.pop_front();
 
   // RTMP fan-out.
   for (auto& [token, fn] : subscribers_) fn(now, sample);
@@ -200,6 +197,13 @@ void LiveBroadcastPipeline::on_sample_at_origin(TimePoint now,
                          });
         });
   }
+
+  // The backlog is the sample's last reader, so it takes it by move. No
+  // subscriber or segmenter reads the backlog synchronously, so the
+  // late append is invisible to them.
+  if (backlog_keyframes_ > 0) backlog_.push_back(std::move(sample));
+  static constexpr std::size_t kBacklogCap = 1024;
+  while (backlog_.size() > kBacklogCap) backlog_.pop_front();
 }
 
 int LiveBroadcastPipeline::subscribe(OriginSampleFn fn) {

@@ -5,6 +5,7 @@
 // IEEE-754 big-endian as well).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -68,6 +69,15 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
   void fill(std::size_t n, std::uint8_t v) { buf_.insert(buf_.end(), n, v); }
+
+  /// Make room for `extra` more bytes. Grows at least geometrically, so
+  /// reserving before every append stays amortised O(1).
+  void reserve(std::size_t extra) {
+    const std::size_t need = buf_.size() + extra;
+    if (need > buf_.capacity()) {
+      buf_.reserve(std::max(need, 2 * buf_.capacity()));
+    }
+  }
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const& { return buf_; }

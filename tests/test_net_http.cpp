@@ -1,6 +1,10 @@
 // Fluid network link, capture and HTTP model tests.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "http/http.h"
 #include "net/capture.h"
 #include "net/link.h"
@@ -150,6 +154,100 @@ TEST(Link, FreezeUntilStallsInFlightTransfer) {
   // Blackout from 0.5 s to 3.0 s; the remaining half second of
   // serialization resumes when the link thaws.
   EXPECT_NEAR(to_s(arrival), 3.5, 1e-9);
+}
+
+TEST(Link, FifoHoldsUnderRepacingFaultsAndShaping) {
+  // The pending table pops its front on every completion, which is only
+  // right if transfers complete in send order. Hit one link with
+  // everything that re-paces or delays a queued tail while transfers are
+  // in flight — rate changes, a fault factor, overlapping freezes, a
+  // shaped-queue overflow (2 loss recoveries), throughput noise, a
+  // zero-byte pacing send tying with its predecessor — and require send
+  // order at the arrival times the deque-and-search table produced.
+  sim::Simulation sim;
+  net::Link link(sim, 2e6, millis(30));
+  link.set_noise(Rng(5), seconds(0.25), 0.6, 1.2);
+  link.enable_shaped_queue(20000, Rng(9));
+  std::vector<std::pair<int, double>> got;
+  int next = 0;
+  const auto send = [&](std::size_t size, bool pacing_only) {
+    const int i = next++;
+    auto fn = [&got, i](TimePoint t, util::BufferSlice) {
+      got.emplace_back(i, to_s(t));
+    };
+    if (pacing_only) {
+      link.send(size, fn);
+    } else {
+      link.send(Bytes(size, 7), fn);
+    }
+  };
+  for (int k = 0; k < 10; ++k) send(1500 + 700 * k, k % 3 == 0);
+  send(0, true);
+  sim.schedule_at(time_at(0.05), [&] { link.set_rate(0.5e6); });
+  sim.schedule_at(time_at(0.12), [&] {
+    link.set_fault_factor(0.3);
+    send(4000, false);
+  });
+  sim.schedule_at(time_at(0.2), [&] { link.freeze_until(time_at(0.6)); });
+  sim.schedule_at(time_at(0.3), [&] {
+    for (int k = 0; k < 6; ++k) send(9000, k % 2 == 0);
+  });
+  sim.schedule_at(time_at(0.45), [&] {
+    link.freeze_until(time_at(0.5));  // inside the first freeze: no-op
+    link.set_fault_factor(0.8);
+  });
+  sim.schedule_at(time_at(0.7), [&] {
+    link.set_fault_factor(1.0);
+    send(300, false);
+  });
+  sim.schedule_at(time_at(0.8), [&] { link.set_rate(4e6); });
+  sim.schedule_at(time_at(2.5), [&] {
+    send(50000, false);
+    send(10, true);
+  });
+  sim.schedule_at(time_at(2.6), [&] { link.set_rate(1e6); });
+  sim.run_all();
+
+  EXPECT_EQ(link.loss_recovery_events(), 2u);
+  const std::vector<std::pair<int, double>> want = {
+      {0, 0.037211011263895137}, {1, 0.047787161117608008},
+      {2, 0.061728449561138612}, {3, 0.07903487659448695},
+      {4, 0.18086003693085387},  {5, 0.72511270865222266},
+      {6, 0.83260503274461317},  {7, 0.85201062587948484},
+      {8, 0.87353870576348303},  {9, 0.89718927239660784},
+      {10, 0.89718927239660784}, {11, 0.90931776810590259},
+      {12, 0.93660688345181586}, {13, 0.96389599879772914},
+      {14, 0.99118511414364241}, {15, 1.0184742294895557},
+      {16, 1.0457633448354688},  {17, 1.073052460181382},
+      {18, 1.0739620973595791},  {19, 2.6896195209610054},
+      {20, 2.6897114448651975},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].first, want[k].first) << "delivery " << k;
+    EXPECT_NEAR(got[k].second, want[k].second, 1e-12) << "delivery " << k;
+  }
+}
+
+TEST(Link, LongQueueWithReentrantSendsStaysInOrder) {
+  // Deliveries that send again on the same link while hundreds of
+  // transfers are queued: the FIFO compacts its consumed prefix mid-run.
+  sim::Simulation sim;
+  net::Link link(sim, 10e6, millis(5));
+  std::vector<int> order;
+  int next = 0;
+  std::function<void()> send_one = [&] {
+    const int i = next++;
+    link.send(Bytes(100 + i % 50, 0), [&, i](TimePoint, util::BufferSlice) {
+      order.push_back(i);
+      if (i < 100) send_one();
+    });
+  };
+  for (int k = 0; k < 200; ++k) send_one();
+  sim.schedule_at(time_at(0.001), [&] { link.set_rate(5e6); });
+  sim.run_all();
+  ASSERT_EQ(order.size(), 300u);
+  for (int k = 0; k < 300; ++k) EXPECT_EQ(order[k], k);
 }
 
 TEST(Link, RepaceLeavesFutureSendsAlone) {
